@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -32,6 +33,9 @@ class Arc(NamedTuple):
     tgt: str
 
 
+_arc_id, _arc_src, _arc_tgt = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Finite directed multigraph with named nodes and arcs."""
@@ -40,24 +44,18 @@ class DirectedGraph:
     arcs: tuple[Arc, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(
-            self, "arcs", tuple(a if isinstance(a, Arc) else Arc(*a) for a in self.arcs)
-        )
-        node_set: set[str] = set()
-        for n in self.nodes:
-            if n in node_set:
-                raise DuplicateIdError(f"duplicate node id {n!r}")
-            node_set.add(n)
-        arc_ids: set[str] = set()
-        for a in self.arcs:
-            if a.id in arc_ids:
-                raise DuplicateIdError(f"duplicate arc id {a.id!r}")
-            arc_ids.add(a.id)
-            if a.src not in node_set:
-                raise DanglingEndpointError(f"arc {a.id!r} has unknown source {a.src!r}")
-            if a.tgt not in node_set:
-                raise DanglingEndpointError(f"arc {a.id!r} has unknown target {a.tgt!r}")
+        nodes = tuple(self.nodes)
+        arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in self.arcs)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arcs", arcs)
+        node_set = set(nodes)
+        if (
+            len(node_set) != len(nodes)
+            or len(set(map(_arc_id, arcs))) != len(arcs)
+            or not node_set.issuperset(map(_arc_src, arcs))
+            or not node_set.issuperset(map(_arc_tgt, arcs))
+        ):
+            _raise_first_fault(nodes, arcs)
 
     @cached_property
     def node_index(self) -> dict[str, int]:
@@ -106,11 +104,30 @@ class DirectedGraph:
             raise UnknownNodeError(f"unknown node {node!r}") from None
 
 
+def _raise_first_fault(nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
+    """Raise for the first duplicate node, then the first arc, in input order,
+    that reuses an id or names an unknown endpoint."""
+    node_set: set[str] = set()
+    for n in nodes:
+        if n in node_set:
+            raise DuplicateIdError(f"duplicate node id {n!r}")
+        node_set.add(n)
+    arc_ids: set[str] = set()
+    for a in arcs:
+        if a.id in arc_ids:
+            raise DuplicateIdError(f"duplicate arc id {a.id!r}")
+        arc_ids.add(a.id)
+        if a.src not in node_set:
+            raise DanglingEndpointError(f"arc {a.id!r} has unknown source {a.src!r}")
+        if a.tgt not in node_set:
+            raise DanglingEndpointError(f"arc {a.id!r} has unknown target {a.tgt!r}")
+
+
 def build_graph(
     nodes: Iterable[str], arcs: Iterable[tuple[str, str, str] | Arc]
 ) -> DirectedGraph:
     """Build and validate a graph from node ids and (arc id, src, tgt) triples."""
-    return DirectedGraph(tuple(nodes), tuple(Arc(*a) for a in arcs))
+    return DirectedGraph(tuple(nodes), tuple(arcs))
 
 
 def degrees(g: DirectedGraph, node: str) -> tuple[int, int]:

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Any
 
-from .core import DirectedGraph, GraphMorphism, build_graph
+from .core import Arc, DirectedGraph, GraphMorphism, build_graph
 from .errors import ParseError
 from .homology import ArcChain
 from .reflexive import ReflexiveGraph
@@ -116,26 +116,19 @@ def chain_from_dict(payload: Any, graph: DirectedGraph) -> ArcChain:
 
 
 def parse_edgelist(text: str) -> DirectedGraph:
-    nodes: list[str] = []
-    seen: set[str] = set()
-    arcs: list[tuple[str, str, str]] = []
-    counter = 0
+    arcs: list[Arc] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if len(parts) == 2:
+            arcs.append(Arc(f"e{len(arcs)}", parts[0], parts[1]))
+        elif len(parts) == 3:
+            arcs.append(Arc(parts[2], parts[0], parts[1]))
+        elif parts:
             raise ParseError(f"line {lineno}: expected 'src tgt [arc_id]'")
-        src, tgt = parts[0], parts[1]
-        arc_id = parts[2] if len(parts) == 3 else f"e{counter}"
-        counter += 1
-        for v in (src, tgt):
-            if v not in seen:
-                seen.add(v)
-                nodes.append(v)
-        arcs.append((arc_id, src, tgt))
-    return build_graph(nodes, arcs)
+    nodes = dict.fromkeys(v for a in arcs for v in (a.src, a.tgt))
+    return DirectedGraph(tuple(nodes), tuple(arcs))
 
 
 def _read_text(path: str) -> str:

@@ -3,17 +3,24 @@
 Columns are normalized (column j holds the out-probabilities of node j), so
 the score vector is a right fixed vector of the damped matrix.  Dangling
 nodes get uniform columns, the standard fix that keeps the matrix stochastic.
+
+``pagerank`` never forms that matrix: each step spreads every node's score
+over its out-arcs and the dangling mass over all nodes, in O(V + E) time and
+memory.  ``markov_from_graph`` builds the dense n x n matrix as the small-n
+reference.  numpy is imported only when one of the two runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DirectedGraph
-from .errors import EmptyGraphError, NoConvergenceError
+from .errors import EmptyGraphError, NoConvergenceError, ValidationError
 from .scc import scc_decompose
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +49,8 @@ class ConnectivityReport:
 
 def markov_from_graph(g: DirectedGraph) -> MarkovMatrix:
     """Column-stochastic transition matrix; parallel arcs add probability mass."""
+    import numpy as np
+
     if not g.nodes:
         raise EmptyGraphError("cannot normalize an empty graph")
     n = len(g.nodes)
@@ -67,22 +76,36 @@ def pagerank(
 ) -> RankVector:
     """Power iteration on the damped transition matrix until the L1 step
     shrinks below tol.  Deterministic: fixed start, fixed accumulation order.
+
+    Each step runs on the arc list, so the matrix of ``markov_from_graph`` is
+    never built; parallel arcs add mass and dangling nodes spread uniformly.
     """
     if not 0.0 < damping < 1.0:
-        raise ValueError("damping must lie strictly between 0 and 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    matrix = markov_from_graph(g)
-    n = matrix.order
+        raise ValidationError("damping must lie strictly between 0 and 1")
+    if not tol > 0.0:
+        raise ValidationError("tol must be positive")
+    if not g.nodes:
+        raise EmptyGraphError("cannot normalize an empty graph")
+    import numpy as np
+
+    n, m = len(g.nodes), len(g.arcs)
+    idx = g.node_index
+    src = np.fromiter((idx[a.src] for a in g.arcs), dtype=np.intp, count=m)
+    tgt = np.fromiter((idx[a.tgt] for a in g.arcs), dtype=np.intp, count=m)
+    outdeg = np.bincount(src, minlength=n)
+    dangling = np.flatnonzero(outdeg == 0)
+    inv_outdeg = np.zeros(n)
+    np.divide(1.0, outdeg, out=inv_outdeg, where=outdeg > 0)
     teleport = (1.0 - damping) / n
     rank = np.full(n, 1.0 / n)
     residual = float("inf")
     for iteration in range(1, max_iter + 1):
-        nxt = damping * (matrix.entries @ rank) + teleport
+        spread = np.bincount(tgt, weights=(rank * inv_outdeg)[src], minlength=n)
+        nxt = damping * (spread + rank[dangling].sum() / n) + teleport
         residual = float(np.abs(nxt - rank).sum())
         rank = nxt
         if residual < tol:
-            scores = {node: float(rank[i]) for node, i in matrix.index.items()}
+            scores = dict(zip(g.nodes, rank.tolist()))
             return RankVector(scores, iteration, residual)
     raise NoConvergenceError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})"

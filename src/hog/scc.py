@@ -63,11 +63,11 @@ def scc_decompose(g: DirectedGraph) -> SccDecomposition:
     """
     idx_of = g.node_index
     n = len(g.nodes)
-    succ: list[list[int]] = [[] for _ in range(n)]
+    # One insertion-ordered dict per node drops parallel arcs in O(1) each.
+    succ_seen: list[dict[int, None]] = [{} for _ in range(n)]
     for a in g.arcs:
-        s, t = idx_of[a.src], idx_of[a.tgt]
-        if t not in succ[s]:
-            succ[s].append(t)
+        succ_seen[idx_of[a.src]][idx_of[a.tgt]] = None
+    succ = [list(d) for d in succ_seen]
 
     index = [-1] * n
     lowlink = [0] * n

@@ -1,11 +1,17 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hog.cli import main
+import hog
+from hog.cli import build_parser, main
 from hog.core import standard_cycle
-from hog.io import graph_to_dict
+from hog.io import graph_to_dict, reflexive_to_dict
+from hog.reflexive import add_degeneracies
 
 
 @pytest.fixture
@@ -248,3 +254,89 @@ def test_outputs_are_deterministic(capsys, c3_file):
     _, first, _ = run(capsys, "homology", c3_file, "--json")
     _, second, _ = run(capsys, "homology", c3_file, "--json")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--damping", "1.5"], "damping must lie strictly between 0 and 1"),
+        (["--damping", "0"], "damping must lie strictly between 0 and 1"),
+        (["--tol", "0"], "tol must be positive"),
+        (["--tol", "nan"], "tol must be positive"),
+    ],
+)
+def test_pagerank_bad_parameters_exit_2(capsys, c3_file, flags, message):
+    code, out, err = run(capsys, "pagerank", c3_file, *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import hog, hog.cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hog.cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded[" ".join(argv[:2])] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def _subcommands(parser):
+    """Every leaf subcommand name, nested ones as 'reflexive add'."""
+    names = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                names += [f"{name} {n}" for n in _subcommands(sub)] or [name]
+    return names
+
+
+def test_only_pagerank_imports_numpy(tmp_path):
+    c3 = standard_cycle(3)
+    files = {
+        "c3.json": graph_to_dict(c3),
+        "ident.json": {"nodes": {n: n for n in c3.nodes}, "arcs": {a.id: a.id for a in c3.arcs}},
+        "chain.json": {"coefficients": {a.id: 1 for a in c3.arcs}},
+        "rc3.json": reflexive_to_dict(add_degeneracies(c3)),
+        "rident.json": {
+            "nodes": {n: n for n in c3.nodes},
+            "arcs": {a.id: a.id for a in add_degeneracies(c3).arcs},
+        },
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    (tmp_path / "parallel.txt").write_text("x y a\nx y b\n")
+    runs = [
+        ["scc", "c3.json"],
+        ["weq", "c3.json", "c3.json", "ident.json", "--oracle", "3"],
+        ["cofibrant", "c3.json"],
+        ["glue-nodes", "c3.json", "x0", "x1"],
+        ["attach-cycle", "c3.json", "x0", "2"],
+        ["glue-paths", "parallel.txt", "a", "b"],
+        ["euler", "c3.json", "--construct", "--decompose"],
+        ["homology", "c3.json", "--max-coeff", "1"],
+        ["decompose", "c3.json", "chain.json"],
+        ["postman", "c3.json"],
+        ["hom-count", "c3.json", "4", "--enumerate"],
+        ["reflexive", "add", "c3.json"],
+        ["reflexive", "strip", "rc3.json"],
+        ["reflexive", "weq", "rc3.json", "rc3.json", "rident.json"],
+        ["pagerank", "c3.json", "--report"],
+    ]
+    covered = {" ".join(r[:2]) if r[0] == "reflexive" else r[0] for r in runs}
+    assert covered == set(_subcommands(build_parser()))
+    src = os.path.dirname(os.path.dirname(hog.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("pagerank c3.json") is True
+    assert not any(loaded.values()), loaded

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hog.core import (
     Arc,
     ClosedWalk,
+    DirectedGraph,
     GraphMorphism,
     Walk,
     adjacency_matrix,
@@ -51,6 +52,66 @@ def test_build_graph_rejects_duplicates_and_dangling():
         build_graph(["x"], [("a", "x", "x"), ("a", "x", "x")])
     with pytest.raises(DanglingEndpointError):
         build_graph(["x"], [("a", "x", "y")])
+
+
+CONSTRUCTION_FAULTS = [
+    (["x", "y", "y", "x"], [], DuplicateIdError, "duplicate node id 'y'"),
+    (
+        ["x"],
+        [("a", "x", "x"), ("b", "x", "x"), ("b", "x", "x"), ("a", "x", "x")],
+        DuplicateIdError,
+        "duplicate arc id 'b'",
+    ),
+    (
+        ["x"],
+        [("a", "x", "x"), ("b", "p", "x"), ("c", "q", "x")],
+        DanglingEndpointError,
+        "arc 'b' has unknown source 'p'",
+    ),
+    (
+        ["x"],
+        [("a", "x", "x"), ("b", "x", "p"), ("c", "x", "q")],
+        DanglingEndpointError,
+        "arc 'b' has unknown target 'p'",
+    ),
+    # one arc with every fault: the id check comes first, then the source
+    (
+        ["x"],
+        [("a", "x", "x"), ("a", "p", "q")],
+        DuplicateIdError,
+        "duplicate arc id 'a'",
+    ),
+    (["x"], [("a", "p", "q")], DanglingEndpointError, "arc 'a' has unknown source 'p'"),
+    # an earlier arc's unknown target beats a later duplicate id
+    (
+        ["x", "x2"],
+        [("a", "x", "x"), ("b", "x", "q"), ("a", "x", "x")],
+        DanglingEndpointError,
+        "arc 'b' has unknown target 'q'",
+    ),
+    # node duplicates are reported before any arc fault
+    (["x", "x"], [("a", "p", "q")], DuplicateIdError, "duplicate node id 'x'"),
+]
+
+
+def _direct(nodes, arcs):
+    return DirectedGraph(tuple(nodes), tuple(Arc(*a) for a in arcs))
+
+
+@pytest.mark.parametrize("nodes, arcs, error, message", CONSTRUCTION_FAULTS)
+@pytest.mark.parametrize("construct", [build_graph, _direct], ids=["build_graph", "DirectedGraph"])
+def test_construction_names_the_first_offender(construct, nodes, arcs, error, message):
+    with pytest.raises(error) as exc:
+        construct(nodes, arcs)
+    assert str(exc.value) == message
+
+
+def test_directed_graph_wraps_plain_triples_once():
+    arc = Arc("a", "x", "y")
+    g = DirectedGraph(("x", "y"), (arc, ("b", "y", "x")))
+    assert g.arcs == (Arc("a", "x", "y"), Arc("b", "y", "x"))
+    assert g.arcs[0] is arc
+    assert all(type(a) is Arc for a in g.arcs)
 
 
 def test_standard_cycle_shapes():

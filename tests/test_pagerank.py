@@ -1,8 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from hog.core import build_graph, standard_cycle, standard_path
-from hog.errors import EmptyGraphError, NoConvergenceError
+from hog.errors import EmptyGraphError, NoConvergenceError, ValidationError
 from hog.pagerank import connectivity_report, markov_from_graph, pagerank
 
 
@@ -91,6 +93,82 @@ def test_pagerank_approaches_stationary_distribution():
     stationary = stationary / stationary.sum()
     for node, i in m.index.items():
         assert abs(rank.scores[node] - stationary[i]) < 1e-3
+
+
+def test_pagerank_empty_graph():
+    with pytest.raises(EmptyGraphError):
+        pagerank(build_graph([], []))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"damping": 1.5}, "damping must lie strictly between 0 and 1"),
+        ({"damping": 0.0}, "damping must lie strictly between 0 and 1"),
+        ({"damping": 1.0}, "damping must lie strictly between 0 and 1"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1e-9}, "tol must be positive"),
+        ({"tol": float("nan")}, "tol must be positive"),
+        ({"damping": float("nan")}, "damping must lie strictly between 0 and 1"),
+    ],
+)
+def test_pagerank_rejects_bad_parameters(kwargs, message):
+    with pytest.raises(ValidationError) as exc:
+        pagerank(star(), **kwargs)
+    assert str(exc.value) == message
+
+
+def _random_multigraph(seed, n, m):
+    """Seeded n-node, m-arc multigraph with parallel arcs, self-loops and
+    dangling nodes (a tenth of the nodes have no out-arcs)."""
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in range(n)]
+    sinks = set(rng.sample(range(n), n // 10))
+    sources = [i for i in range(n) if i not in sinks]
+    arcs = []
+    for k in range(m):
+        if arcs and rng.random() < 0.2:
+            _, s, t = arcs[-1]
+        else:
+            i = rng.choice(sources)
+            s, t = nodes[i], nodes[i if rng.random() < 0.05 else rng.randrange(n)]
+        arcs.append((f"a{k}", s, t))
+    return build_graph(nodes, arcs)
+
+
+@pytest.mark.parametrize(
+    "seed, n, m",
+    [(0, 100, 300), (1, 100, 2000), (2, 500, 5000), (3, 1000, 2000), (4, 2000, 8000), (5, 2000, 20000)],
+)
+def test_pagerank_matches_networkx(seed, n, m):
+    nx = pytest.importorskip("networkx")
+    g = _random_multigraph(seed, n, m)
+    folded = nx.DiGraph()
+    folded.add_nodes_from(g.nodes)
+    for a in g.arcs:
+        if folded.has_edge(a.src, a.tgt):
+            folded[a.src][a.tgt]["weight"] += 1
+        else:
+            folded.add_edge(a.src, a.tgt, weight=1)
+    assert folded.number_of_edges() < m
+    assert any(folded.out_degree(v) == 0 for v in g.nodes)
+    assert any(folded.has_edge(v, v) for v in g.nodes)
+    expected = nx.pagerank(folded, alpha=0.85, tol=1e-15, max_iter=10000, weight="weight")
+    scores = pagerank(g).scores
+    assert list(scores) == list(g.nodes)
+    for node in g.nodes:
+        assert scores[node] == pytest.approx(expected[node], abs=1e-9)
+
+
+def test_pagerank_agrees_with_dense_reference():
+    g = _random_multigraph(100, 300, 1500)
+    result = pagerank(g)
+    m = markov_from_graph(g)
+    rank = np.full(m.order, 1.0 / m.order)
+    for _ in range(result.iterations):
+        rank = 0.85 * (m.entries @ rank) + 0.15 / m.order
+    for node, i in m.index.items():
+        assert result.scores[node] == pytest.approx(rank[i], abs=1e-15)
 
 
 def test_pagerank_no_convergence():

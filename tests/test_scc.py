@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given
 
-from hog.core import build_graph, standard_cycle, standard_path
+from hog.core import Arc, build_graph, standard_cycle, standard_path
 from hog.enumeration import small_graphs
 from hog.errors import EmptyGraphError
 from hog.scc import (
@@ -109,3 +109,27 @@ def test_deterministic_enumeration_sample_against_oracle():
 def test_weak_components_partition():
     g = build_graph(["a", "b", "c"], [("e", "a", "b")])
     assert weak_components(g) == (("a", "b"), ("c",))
+
+
+def test_parallel_arcs_keep_first_appearance_successor_order():
+    # a's successors first appear as b, f, e; the last a->f comes after a->e,
+    # so ordering successors by last appearance would visit e before f
+    g = build_graph(
+        ["a", "b", "c", "d", "e", "f"],
+        [
+            ("p0", "a", "b"), ("p1", "a", "f"), ("p2", "b", "a"), ("p3", "a", "b"),
+            ("p4", "a", "e"), ("p5", "a", "f"), ("p6", "b", "a"), ("p7", "b", "c"),
+            ("p8", "b", "c"), ("p9", "c", "d"), ("p10", "d", "c"), ("p11", "d", "c"),
+            ("p12", "c", "d"), ("p13", "e", "e"), ("p14", "e", "e"), ("p15", "b", "c"),
+            ("p16", "f", "f"), ("p17", "a", "f"),
+        ],
+    )
+    dec = scc_decompose(g)
+    assert dec.components == (("c", "d"), ("f",), ("e",), ("a", "b"))
+    assert dec.component_of == {"a": 3, "b": 3, "c": 0, "d": 0, "e": 2, "f": 1}
+    assert dec.condensation.nodes == ("0", "1", "2", "3")
+    assert dec.condensation.arcs == (
+        Arc("e0", "3", "1"),
+        Arc("e1", "3", "2"),
+        Arc("e2", "3", "0"),
+    )
