@@ -11,6 +11,7 @@ rebuilds the graph from a single cycle.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -107,32 +108,39 @@ def _extract_cycles(g: DirectedGraph) -> list[ClosedWalk]:
 
     Pre: balanced degrees and connected (caller checked).  The first cycle
     starts at the source of the globally smallest arc id; each later cycle
-    starts at the smallest unused arc whose source was already visited.
+    starts at the smallest unused arc whose source was already visited, popped
+    from a heap that holds the out-arcs of every visited node.  Arcs are only
+    used as the smallest unused out-arc of their source, so each node keeps a
+    cursor into its sorted out-arcs.
     """
-    unused = {a.id for a in g.arcs}
     out_ids = {v: sorted(a.id for a in g.out_arcs(v)) for v in g.nodes}
+    cursor = dict.fromkeys(g.nodes, 0)
     tgt = {a.id: a.tgt for a in g.arcs}
     src = {a.id: a.src for a in g.arcs}
+    unused = set(tgt)
     visited: set[str] = set()
+    candidates = [min(unused)]
     cycles: list[ClosedWalk] = []
     while unused:
-        if not cycles:
-            start_arc = min(unused)
-        else:
-            start_arc = min(a for a in unused if src[a] in visited)
+        start_arc = heapq.heappop(candidates)
+        if start_arc not in unused:
+            continue
         start = src[start_arc]
         walk: list[str] = []
         v = start
         while True:
-            aid = next(a for a in out_ids[v] if a in unused)
+            aid = out_ids[v][cursor[v]]
+            cursor[v] += 1
             unused.discard(aid)
             walk.append(aid)
             v = tgt[aid]
+            if v not in visited:
+                visited.add(v)
+                for b in out_ids[v]:
+                    heapq.heappush(candidates, b)
             if v == start:
                 break
         cycles.append(ClosedWalk(g, tuple(walk)))
-        visited.update(src[a] for a in walk)
-        visited.update(tgt[a] for a in walk)
     return cycles
 
 
@@ -224,8 +232,11 @@ def euler_decompose(
 ) -> AttachmentDecomposition:
     """Construction script rebuilding g from a single cycle via glue/attach.
 
-    Replaying the steps yields g up to renaming of merged nodes; use
-    ``matches(g)`` to verify.
+    The script is derived without building the intermediate graphs, from the
+    naming rules of the surgery operations: the base cycle's nodes are
+    ``x{i}``, the k-th attach at hub h creates ``{h}_c{k}_{i}`` (its node 0
+    is h itself), and a glue keeps the smaller id.  Replaying the steps yields
+    g up to renaming of merged nodes; use ``matches(g)`` to verify.
     """
     if ignore_isolated:
         g = _drop_isolated(g)
@@ -233,34 +244,28 @@ def euler_decompose(
     if not report.is_eulerian:
         raise NotEulerianError(_not_eulerian_message(report))
     walks = _extract_cycles(g)
-    first = walks[0]
-    sim = standard_cycle(first.length)
     steps: list[GlueStep | AttachStep] = []
     to_sim: dict[str, str] = {}
-    base_ids = list(sim.nodes)
-    for i, gn in enumerate(first.visits):
-        cur = base_ids[i]
-        if gn in to_sim:
-            a = to_sim[gn]
-            steps.append(GlueStep(a, cur))
-            sim, _ = homotopy.glue_nodes(sim, a, cur)
-            to_sim[gn] = min(a, cur)
-        else:
+
+    def place(gn: str, cur: str) -> None:
+        """Map input node gn to the fresh replay node cur, gluing on a revisit."""
+        prev = to_sim.get(gn)
+        if prev is None:
             to_sim[gn] = cur
+        else:
+            steps.append(GlueStep(prev, cur))
+            to_sim[gn] = min(prev, cur)
+
+    first = walks[0]
+    for i, gn in enumerate(first.visits):
+        place(gn, f"x{i}")
+    attaches: Counter = Counter()
     for w in walks[1:]:
-        hub_sim = to_sim[w.visits[0]]
-        before = set(sim.nodes)
-        steps.append(AttachStep(hub_sim, w.length))
-        sim, _ = homotopy.attach_cycle(sim, hub_sim, w.length)
-        fresh = [n for n in sim.nodes if n not in before]
-        for i, gn in enumerate(w.visits[1:]):
-            cur = fresh[i]
-            if gn in to_sim:
-                a = to_sim[gn]
-                steps.append(GlueStep(a, cur))
-                sim, _ = homotopy.glue_nodes(sim, a, cur)
-                to_sim[gn] = min(a, cur)
-            else:
-                to_sim[gn] = cur
+        hub = to_sim[w.visits[0]]
+        k = attaches[hub]
+        attaches[hub] += 1
+        steps.append(AttachStep(hub, w.length))
+        for i, gn in enumerate(w.visits[1:], start=1):
+            place(gn, f"{hub}_c{k}_{i}")
     correspondence = {s: gn for gn, s in to_sim.items()}
     return AttachmentDecomposition(first.length, tuple(steps), correspondence)

@@ -3,6 +3,9 @@
 One-chains are stored by their arc images: an integer coefficient per arc.
 The boundary of an arc is target minus source; its kernel is the cycle space
 (first homology), which is free, so a rank and a basis describe it fully.
+The boundary's rank is the node count minus the weak-component count, so
+both ranks follow from that count with no matrix elimination, and the basis
+has one chain per arc outside a spanning forest.
 Positive chains with zero boundary decompose constructively into closed walks,
 which yields both a boundary-based Euler criterion and, combined with a
 min-cost flow over the degree imbalances, the minimal covering closed walk
@@ -14,7 +17,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .core import ClosedWalk, DirectedGraph
@@ -25,9 +27,11 @@ from .errors import (
     NonzeroBoundaryError,
     NotConnectedError,
     NotStronglyConnectedError,
+    UnknownNodeError,
+    ValidationError,
 )
-from .euler import EulerReport
-from .scc import is_connected, is_strongly_connected
+from .euler import EulerReport, _splice
+from .scc import is_connected, is_strongly_connected, weak_components
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class ArcChain:
 
     def add(self, other: "ArcChain") -> "ArcChain":
         if other.graph != self.graph:
-            raise ValueError("chains live on different graphs")
+            raise ValidationError("chains live on different graphs")
         merged = Counter(self.coefficients)
         merged.update(other.coefficients)
         return ArcChain(self.graph, dict(merged))
@@ -70,7 +74,7 @@ class NodeChain:
         clean = {}
         for nid, c in self.coefficients.items():
             if not self.graph.has_node(nid):
-                raise ValueError(f"unknown node {nid!r}")
+                raise UnknownNodeError(f"unknown node {nid!r}")
             if c:
                 clean[nid] = int(c)
         object.__setattr__(self, "coefficients", clean)
@@ -117,55 +121,18 @@ def fundamental_chain(g: DirectedGraph) -> ArcChain:
     return ArcChain(g, {a.id: 1 for a in g.arcs})
 
 
-def length(u: ArcChain) -> int:
-    """Sum of absolute coefficients: the length of a walk realizing the chain."""
-    return u.length
-
-
-def _rational_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by exact elimination over the rationals."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def incidence_matrix(g: DirectedGraph) -> list[list[int]]:
-    """Node-by-arc matrix with +1 at targets and -1 at sources."""
-    idx = g.node_index
-    rows = [[0] * len(g.arcs) for _ in g.nodes]
-    for col, a in enumerate(g.arcs):
-        rows[idx[a.tgt]][col] += 1
-        rows[idx[a.src]][col] -= 1
-    return rows
-
-
 def homology_summary(g: DirectedGraph) -> HomologySummary:
-    """Ranks from the incidence matrix, basis from a spanning forest.
+    """Ranks from the weak components, basis from a spanning forest.
 
-    The kernel of the boundary is free, so rank plus basis is a complete
-    description.  The degree-zero rank is component count minus one (zero on
+    The boundary has rank |V| - c for c weak components, so the cycle space
+    has rank |E| - |V| + c.  The kernel of the boundary is free, so rank plus
+    basis is a complete description.  The degree-zero rank is c - 1 (zero on
     the empty graph).
     """
     if not g.nodes:
         return HomologySummary(0, 0, (), 0)
-    rank = _rational_rank(incidence_matrix(g))
-    components = len(g.nodes) - rank
-    h1_rank = len(g.arcs) - rank
+    components = len(weak_components(g))
+    h1_rank = len(g.arcs) - len(g.nodes) + components
     basis = _forest_cycle_basis(g)
     if len(basis) != h1_rank:
         raise AssertionError("cycle basis size disagrees with kernel rank")
@@ -177,6 +144,8 @@ def _forest_cycle_basis(g: DirectedGraph) -> tuple[ArcChain, ...]:
 
     The forest ignores orientation; tree arcs enter with +1 when traversed
     source-to-target and -1 otherwise, so every basis chain has zero boundary.
+    Each tree is rooted once, and a chord's path climbs from both of its ends
+    to their lowest common ancestor, so the cost is proportional to the output.
     """
     parent: dict[str, str] = {n: n for n in g.nodes}
 
@@ -197,47 +166,41 @@ def _forest_cycle_basis(g: DirectedGraph) -> tuple[ArcChain, ...]:
             tree[a.src].append((a.tgt, a.id, +1))
             tree[a.tgt].append((a.src, a.id, -1))
 
+    # up[v] = (parent node, tree arc, sign of the step from v to its parent)
+    up: dict[str, tuple[str, str, int]] = {}
+    depth: dict[str, int] = {}
+    for root in g.nodes:
+        if root in depth:
+            continue
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, aid, sign in tree[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    up[w] = (v, aid, -sign)
+                    stack.append(w)
+
     def tree_path(frm: str, to: str) -> list[tuple[str, int]]:
         """Signed tree arcs from frm to to (+1 means traversed src->tgt)."""
-        if frm == to:
-            return []
-        prev: dict[str, tuple[str, str, int]] = {}
-        queue = [frm]
-        seen = {frm}
-        while queue:
-            nxt = []
-            for v in queue:
-                for w, aid, sign in tree[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        prev[w] = (v, aid, sign)
-                        if w == to:
-                            queue = []
-                            nxt = []
-                            break
-                        nxt.append(w)
-                else:
-                    continue
-                break
+        head: list[tuple[str, int]] = []
+        tail: list[tuple[str, int]] = []
+        while frm != to:
+            if depth[frm] >= depth[to]:
+                frm, aid, sign = up[frm]
+                head.append((aid, sign))
             else:
-                queue = nxt
-                continue
-            break
-        path = []
-        v = to
-        while v != frm:
-            u, aid, sign = prev[v]
-            path.append((aid, sign))
-            v = u
-        path.reverse()
-        return path
+                to, aid, sign = up[to]
+                tail.append((aid, -sign))
+        tail.reverse()
+        return head + tail
 
     basis = []
     for a in chords:
-        coeffs: Counter = Counter({a.id: 1})
-        for aid, sign in tree_path(a.tgt, a.src):
-            coeffs[aid] += sign
-        basis.append(ArcChain(g, dict(coeffs)))
+        coeffs = {a.id: 1}
+        coeffs.update(tree_path(a.tgt, a.src))
+        basis.append(ArcChain(g, coeffs))
     return tuple(basis)
 
 
@@ -289,7 +252,7 @@ def decompose_positive_chain(u: ArcChain) -> CycleDecomposition:
     return CycleDecomposition(tuple(cycles), tuple(mults))
 
 
-def _splice_all(walks: list[ClosedWalk], g: DirectedGraph) -> ClosedWalk:
+def _splice_all(walks: list[ClosedWalk]) -> ClosedWalk:
     """Merge closed walks sharing nodes into one; smallest shared id first."""
     current = walks[0]
     rest = list(walks[1:])
@@ -305,13 +268,7 @@ def _splice_all(walks: list[ClosedWalk], g: DirectedGraph) -> ClosedWalk:
         if best is None:
             raise AssertionError("walks do not connect; graph not connected?")
         node, i = best
-        w = rest.pop(i)
-        rebased = w.rotate_to(node)
-        pos = current.visits.index(node)
-        current = ClosedWalk(
-            g, current.arcs[:pos] + rebased.arcs + current.arcs[pos:],
-            base=current.base if current.arcs else node,
-        )
+        current = _splice(current, rest.pop(i), node)
     return current
 
 
@@ -336,7 +293,7 @@ def euler_via_homology(g: DirectedGraph) -> EulerReport:
         return EulerReport(False, True, violations)
     dec = decompose_positive_chain(chain)
     walks = list(dec.cycles)
-    cycle = _splice_all(walks, g)
+    cycle = _splice_all(walks)
     return EulerReport(True, True, (), cycle)
 
 
@@ -439,7 +396,7 @@ def minimal_covering_walk(g: DirectedGraph) -> tuple[ClosedWalk, int]:
     expanded: list[ClosedWalk] = []
     for walk, mult in zip(dec.cycles, dec.multiplicities):
         expanded.extend([walk] * mult)
-    tour = _splice_all(expanded, g)
+    tour = _splice_all(expanded)
     return tour, tour.length
 
 

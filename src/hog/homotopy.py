@@ -82,28 +82,33 @@ def _closed_walk_arc_tuples(
     g: DirectedGraph, n: int, cap: int | None
 ) -> list[tuple[str, ...]]:
     """Arc-id tuples of every based closed walk of length n >= 1, in node order
-    of the start and then depth-first arc order."""
+    of the start and then depth-first arc order.
+
+    The depth-first search keeps one out-arc iterator per step on an explicit
+    stack, so no recursion depth grows with n.
+    """
     out_ids = {v: tuple(a.id for a in g.out_arcs(v)) for v in g.nodes}
     tgt = {a.id: a.tgt for a in g.arcs}
     results: list[tuple[str, ...]] = []
     acc: list[str] = []
-
-    def extend(v: str, depth: int, start: str) -> None:
-        if depth == n:
-            if v == start:
-                if cap is not None and len(results) >= cap:
-                    raise CapExceededError(
-                        f"more than {cap} closed walks of length {n}"
-                    )
-                results.append(tuple(acc))
-            return
-        for aid in out_ids[v]:
-            acc.append(aid)
-            extend(tgt[aid], depth + 1, start)
-            acc.pop()
-
     for start in g.nodes:
-        extend(start, 0, start)
+        stack = [iter(out_ids[start])]
+        while stack:
+            for aid in stack[-1]:
+                acc.append(aid)
+                v = tgt[aid]
+                if len(acc) < n:
+                    stack.append(iter(out_ids[v]))
+                    break
+                if v == start:
+                    if cap is not None and len(results) >= cap:
+                        raise CapExceededError(f"more than {cap} closed walks of length {n}")
+                    results.append(tuple(acc))
+                acc.pop()
+            else:
+                stack.pop()
+                if acc:
+                    acc.pop()
     return results
 
 

@@ -109,7 +109,7 @@ def chain_from_dict(payload: Any, graph: DirectedGraph) -> ArcChain:
         raise ParseError('chain payload needs a "coefficients" map')
     coeffs = {}
     for k, v in payload["coefficients"].items():
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(f"coefficient of {k!r} is not an integer")
         coeffs[str(k)] = v
     return ArcChain(graph, coeffs)

@@ -84,6 +84,8 @@ def pagerank(
         raise ValidationError("damping must lie strictly between 0 and 1")
     if not tol > 0.0:
         raise ValidationError("tol must be positive")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be at least 1")
     if not g.nodes:
         raise EmptyGraphError("cannot normalize an empty graph")
     import numpy as np

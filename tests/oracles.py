@@ -3,14 +3,16 @@
 Everything here deliberately avoids the library's own algorithms: reachability
 by transitive closure, Euler circuits by exhaustive walk search, postman
 lengths by breadth-first search over covered-arc states, walk counts by raw
-itertools filtering, and matrix ranks via sympy.
+itertools filtering, and matrix ranks via sympy.  The one exception is the
+Euler attachment script, whose reference replays the library's own glue and
+attach surgery step by step, as the script's definition says.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from hog.core import DirectedGraph
+from hog.core import ClosedWalk, DirectedGraph, standard_cycle
 
 
 def scc_by_transitive_closure(g: DirectedGraph) -> set[frozenset[str]]:
@@ -142,3 +144,71 @@ def incidence_kernel_rank_sympy(g: DirectedGraph) -> int:
         return 0
     matrix = sympy.Matrix(rows)
     return len(g.arcs) - matrix.rank()
+
+
+def _extract_cycles_by_scan(g: DirectedGraph) -> list[ClosedWalk]:
+    """Smallest-unused-arc cycle extraction with a full scan per cycle."""
+    unused = {a.id for a in g.arcs}
+    out_ids = {v: sorted(a.id for a in g.out_arcs(v)) for v in g.nodes}
+    tgt = {a.id: a.tgt for a in g.arcs}
+    src = {a.id: a.src for a in g.arcs}
+    visited: set[str] = set()
+    cycles: list[ClosedWalk] = []
+    while unused:
+        if not cycles:
+            start_arc = min(unused)
+        else:
+            start_arc = min(a for a in unused if src[a] in visited)
+        start = src[start_arc]
+        walk: list[str] = []
+        v = start
+        while True:
+            aid = next(a for a in out_ids[v] if a in unused)
+            unused.discard(aid)
+            walk.append(aid)
+            v = tgt[aid]
+            if v == start:
+                break
+        cycles.append(ClosedWalk(g, tuple(walk)))
+        visited.update(src[a] for a in walk)
+        visited.update(tgt[a] for a in walk)
+    return cycles
+
+
+def euler_decompose_by_replay(g: DirectedGraph):
+    """Attachment script of an Eulerian graph, built by replaying every step.
+
+    Each glue and attach runs on a simulated graph, and an attach's fresh
+    nodes are read back from the enlarged graph, so no naming rule is assumed.
+    """
+    from hog import homotopy
+    from hog.euler import AttachmentDecomposition, AttachStep, GlueStep
+
+    walks = _extract_cycles_by_scan(g)
+    first = walks[0]
+    sim = standard_cycle(first.length)
+    steps: list = []
+    to_sim: dict[str, str] = {}
+
+    def place(gn: str, cur: str) -> None:
+        nonlocal sim
+        if gn in to_sim:
+            a = to_sim[gn]
+            steps.append(GlueStep(a, cur))
+            sim, _ = homotopy.glue_nodes(sim, a, cur)
+            to_sim[gn] = min(a, cur)
+        else:
+            to_sim[gn] = cur
+
+    for gn, cur in zip(first.visits, list(sim.nodes), strict=True):
+        place(gn, cur)
+    for w in walks[1:]:
+        hub = to_sim[w.visits[0]]
+        before = set(sim.nodes)
+        steps.append(AttachStep(hub, w.length))
+        sim, _ = homotopy.attach_cycle(sim, hub, w.length)
+        fresh = [n for n in sim.nodes if n not in before]
+        for gn, cur in zip(w.visits[1:], fresh, strict=True):
+            place(gn, cur)
+    correspondence = {s: gn for gn, s in to_sim.items()}
+    return AttachmentDecomposition(first.length, tuple(steps), correspondence)

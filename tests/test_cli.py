@@ -199,6 +199,32 @@ def test_decompose_command(capsys, tmp_path, c3_file):
     assert "cycle 0 (x1): a0 a1 a2" in out
 
 
+def test_decompose_rejects_bool_coefficients_exit_2(capsys, tmp_path, c3_file):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"coefficients": {"a0": True, "a1": True, "a2": True}}))
+    code, out, err = run(capsys, "decompose", c3_file, str(chain))
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficient of 'a0' is not an integer\n"
+
+
+def _python(args, cwd):
+    """Run a fresh interpreter that imports this checkout's hog."""
+    src = os.path.dirname(os.path.dirname(hog.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_enumerating_long_walks_on_a_self_loop(tmp_path):
+    (tmp_path / "loop.txt").write_text("x x\n")
+    proc = _python(["-m", "hog.cli", "hom-count", "loop.txt", "1500", "--enumerate"], tmp_path)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1500 1"
+
+
 def test_homology_command(capsys, c3_file):
     code, out, _ = run(capsys, "homology", c3_file, "--max-coeff", "1")
     assert code == 0
@@ -263,6 +289,7 @@ def test_outputs_are_deterministic(capsys, c3_file):
         (["--damping", "0"], "damping must lie strictly between 0 and 1"),
         (["--tol", "0"], "tol must be positive"),
         (["--tol", "nan"], "tol must be positive"),
+        (["--max-iter", "0"], "max_iter must be at least 1"),
     ],
 )
 def test_pagerank_bad_parameters_exit_2(capsys, c3_file, flags, message):
@@ -330,12 +357,7 @@ def test_only_pagerank_imports_numpy(tmp_path):
     ]
     covered = {" ".join(r[:2]) if r[0] == "reflexive" else r[0] for r in runs}
     assert covered == set(_subcommands(build_parser()))
-    src = os.path.dirname(os.path.dirname(hog.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(runs)],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
+    proc = _python(["-c", NUMPY_PROBE, json.dumps(runs)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded.pop("pagerank c3.json") is True

@@ -15,6 +15,7 @@ from hog.euler import (
     euler_decompose,
 )
 from hog.homotopy import attach_cycle, glue_nodes
+from oracles import euler_decompose_by_replay
 from strategies import graphs
 
 
@@ -168,6 +169,34 @@ def test_decompose_replay_roundtrip_on_constructed_graphs(seed):
     assert dec.matches(g)
     walk = euler_cycle(g)
     assert Counter(walk.arcs) == Counter(a.id for a in g.arcs)
+
+
+def _hamiltonian_union(seed: int):
+    import random
+
+    rng = random.Random(seed)
+    n, k = rng.randint(2, 40), rng.randint(1, 5)
+    nodes = [f"h{i}" for i in range(n)]
+    arcs = []
+    for _ in range(k):
+        order = rng.sample(nodes, n)
+        arcs += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    ids = rng.sample(range(len(arcs)), len(arcs))
+    return build_graph(nodes, [(f"u{ids[i]}", s, t) for i, (s, t) in enumerate(arcs)])
+
+
+def _assert_same_script(g):
+    got, want = euler_decompose(g), euler_decompose_by_replay(g)
+    assert got.base_length == want.base_length
+    assert got.steps == want.steps
+    assert list(got.node_correspondence.items()) == list(want.node_correspondence.items())
+
+
+def test_script_equals_replayed_reference():
+    for seed in range(200):
+        _assert_same_script(_random_eulerian(seed))
+    for seed in range(30):
+        _assert_same_script(_hamiltonian_union(seed))
 
 
 @given(graphs(max_nodes=4, max_arcs=6))

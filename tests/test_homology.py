@@ -9,17 +9,19 @@ from hog.errors import (
     NonzeroBoundaryError,
     NotConnectedError,
     NotStronglyConnectedError,
+    UnknownNodeError,
+    ValidationError,
 )
 from hog.euler import euler_check
 from hog.homology import (
     ArcChain,
+    NodeChain,
     boundary_0,
     boundary_1,
     decompose_positive_chain,
     euler_via_homology,
     fundamental_chain,
     homology_summary,
-    length,
     minimal_covering_walk,
     positive_kernel_vectors,
 )
@@ -45,10 +47,21 @@ def test_boundary_of_fundamental_cycle_chain():
 
 def test_boundary_zero_examples():
     g = build_graph(["x"], [])
-    from hog.homology import NodeChain
-
     assert boundary_0(NodeChain(g, {"x": 1})) == 1
     assert boundary_0(NodeChain(g, {})) == 0
+
+
+def test_chains_on_different_graphs_do_not_add():
+    a, b = standard_cycle(2), standard_cycle(3)
+    with pytest.raises(ValidationError) as exc:
+        ArcChain(a, {"a0": 1}).add(ArcChain(b, {"a0": 1}))
+    assert str(exc.value) == "chains live on different graphs"
+
+
+def test_node_chain_rejects_unknown_node():
+    with pytest.raises(UnknownNodeError) as exc:
+        NodeChain(standard_cycle(2), {"x0": 1, "y": 2})
+    assert str(exc.value) == "unknown node 'y'"
 
 
 @given(arc_chains())
@@ -64,10 +77,10 @@ def test_fundamental_chain_double_arc():
 
 
 def test_length():
-    assert length(fundamental_chain(standard_cycle(3))) == 3
+    assert fundamental_chain(standard_cycle(3)).length == 3
     g = standard_cycle(2)
-    assert length(ArcChain(g, {})) == 0
-    assert length(ArcChain(g, {"a0": -2})) == 2
+    assert ArcChain(g, {}).length == 0
+    assert ArcChain(g, {"a0": -2}).length == 2
 
 
 def test_ranks_on_basic_graphs():

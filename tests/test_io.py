@@ -1,8 +1,8 @@
 import pytest
 
-from hog.core import Arc
+from hog.core import Arc, standard_cycle
 from hog.errors import DuplicateIdError, ParseError
-from hog.io import parse_edgelist
+from hog.io import chain_from_dict, parse_edgelist
 
 
 def test_edgelist_skips_blank_and_comment_only_lines():
@@ -50,3 +50,13 @@ def test_edgelist_errors_name_the_line(text, lineno):
     with pytest.raises(ParseError) as exc:
         parse_edgelist(text)
     assert str(exc.value) == f"line {lineno}: expected 'src tgt [arc_id]'"
+
+
+@pytest.mark.parametrize(
+    "coefficients, bad",
+    [({"a0": True, "a1": True}, "a0"), ({"a0": 1, "a1": False}, "a1")],
+)
+def test_chain_rejects_bool_coefficients(coefficients, bad):
+    with pytest.raises(ParseError) as exc:
+        chain_from_dict({"coefficients": coefficients}, standard_cycle(2))
+    assert str(exc.value) == f"coefficient of {bad!r} is not an integer"

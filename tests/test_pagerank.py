@@ -110,6 +110,8 @@ def test_pagerank_empty_graph():
         ({"tol": -1e-9}, "tol must be positive"),
         ({"tol": float("nan")}, "tol must be positive"),
         ({"damping": float("nan")}, "damping must lie strictly between 0 and 1"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"max_iter": -3}, "max_iter must be at least 1"),
     ],
 )
 def test_pagerank_rejects_bad_parameters(kwargs, message):
