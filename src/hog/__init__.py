@@ -20,7 +20,6 @@ from .core import (
     standard_cycle,
     standard_path,
     trace_of_power,
-    validate_morphism,
 )
 from .errors import DomainError, HogError, InputError
 from .euler import (

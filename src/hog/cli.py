@@ -66,32 +66,35 @@ def _cmd_scc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verdict_output(
+    verdict: homotopy.WeakEquivalenceVerdict, mode: str | None = None
+) -> tuple[dict[str, Any], list[str]]:
+    """Payload and text lines of a weak-equivalence verdict; mode, when
+    given, is the payload's second key."""
+    payload: dict[str, Any] = {"weak_equivalence": verdict.is_weak_equivalence}
+    if mode is not None:
+        payload["mode"] = mode
+    matching = verdict.component_matching
+    payload["component_matching"] = None if matching is None else [list(p) for p in matching]
+    payload["witness"] = verdict.witness
+    lines = [f"weak_equivalence: {str(verdict.is_weak_equivalence).lower()}"]
+    lines.extend(f"component {i} -> {j}" for i, j in matching or ())
+    if verdict.witness:
+        lines.append(f"witness: {verdict.witness}")
+    return payload, lines
+
+
 def _cmd_weq(args: argparse.Namespace) -> int:
     dom = io.load_graph(args.domain, "auto")
     cod = io.load_graph(args.codomain, "auto")
     f = io.load_morphism(args.morphism, dom, cod)
-    f.validate()
     if args.cycles_only:
         verdict = homotopy.is_weak_equivalence_cycles_only(f)
     else:
         verdict = homotopy.is_weak_equivalence(f)
-    payload: dict[str, Any] = {
-        "weak_equivalence": verdict.is_weak_equivalence,
-        "mode": "cycles-only" if args.cycles_only else "cycles-and-nodes",
-        "component_matching": (
-            [list(p) for p in verdict.component_matching]
-            if verdict.component_matching is not None
-            else None
-        ),
-        "witness": verdict.witness,
-    }
-    lines = [f"weak_equivalence: {str(verdict.is_weak_equivalence).lower()}"]
-    if verdict.component_matching is not None:
-        lines.extend(
-            f"component {i} -> {j}" for i, j in verdict.component_matching
-        )
-    if verdict.witness:
-        lines.append(f"witness: {verdict.witness}")
+    payload, lines = _verdict_output(
+        verdict, "cycles-only" if args.cycles_only else "cycles-and-nodes"
+    )
     if args.oracle is not None:
         reports = homotopy.brute_force_weq_check(
             f, args.oracle, include_zero=not args.cycles_only, cap=_hom_cap()
@@ -350,27 +353,8 @@ def _cmd_reflexive_strip(args: argparse.Namespace) -> int:
 def _cmd_reflexive_weq(args: argparse.Namespace) -> int:
     dom = io.load_reflexive(args.domain)
     cod = io.load_reflexive(args.codomain)
-    payload_maps = io.load_json(args.morphism)
-    f = reflexive_mod.ReflexiveMorphism(
-        dom,
-        cod,
-        {str(k): str(v) for k, v in payload_maps.get("nodes", {}).items()},
-        {str(k): str(v) for k, v in payload_maps.get("arcs", {}).items()},
-    )
-    verdict = reflexive_mod.is_weak_equivalence_reflexive(f)
-    payload = {
-        "weak_equivalence": verdict.is_weak_equivalence,
-        "component_matching": (
-            [list(p) for p in verdict.component_matching]
-            if verdict.component_matching is not None
-            else None
-        ),
-        "witness": verdict.witness,
-    }
-    lines = [f"weak_equivalence: {str(verdict.is_weak_equivalence).lower()}"]
-    if verdict.witness:
-        lines.append(f"witness: {verdict.witness}")
-    _emit(args, payload, lines)
+    f = io.load_morphism(args.morphism, dom, cod)
+    _emit(args, *_verdict_output(reflexive_mod.is_weak_equivalence_reflexive(f)))
     return 0
 
 
@@ -380,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+    def add(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="emit JSON output")
         p.set_defaults(handler=handler)
         return p
@@ -392,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("auto", "json", "edgelist"), default="auto"
         )
 
-    p = add("scc", _cmd_scc, help="strongly connected components and condensation")
+    p = add(sub, "scc", _cmd_scc, help="strongly connected components and condensation")
     graph_arg(p)
 
-    p = add("weq", _cmd_weq, help="decide whether a morphism is a weak equivalence")
+    p = add(sub, "weq", _cmd_weq, help="decide whether a morphism is a weak equivalence")
     p.add_argument("domain")
     p.add_argument("codomain")
     p.add_argument("morphism")
@@ -404,47 +388,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", type=int, default=None, metavar="N",
                    help="also check hom-map bijectivity for lengths up to N")
 
-    p = add("cofibrant", _cmd_cofibrant,
+    p = add(sub, "cofibrant", _cmd_cofibrant,
             help="all nodes, only arcs inside strongly connected components")
     graph_arg(p)
 
-    p = add("glue-nodes", _cmd_glue_nodes, help="identify two nodes")
+    p = add(sub, "glue-nodes", _cmd_glue_nodes, help="identify two nodes")
     graph_arg(p)
     p.add_argument("x")
     p.add_argument("y")
 
-    p = add("attach-cycle", _cmd_attach_cycle, help="attach a fresh cycle at a node")
+    p = add(sub, "attach-cycle", _cmd_attach_cycle, help="attach a fresh cycle at a node")
     graph_arg(p)
     p.add_argument("node")
     p.add_argument("length", type=int)
 
-    p = add("glue-paths", _cmd_glue_paths,
+    p = add(sub, "glue-paths", _cmd_glue_paths,
             help="identify two parallel simple paths (comma-separated arc ids)")
     graph_arg(p)
     p.add_argument("path1")
     p.add_argument("path2")
 
-    p = add("euler", _cmd_euler, help="Eulerian check, construction, decomposition")
+    p = add(sub, "euler", _cmd_euler, help="Eulerian check, construction, decomposition")
     graph_arg(p)
     p.add_argument("--construct", action="store_true")
     p.add_argument("--decompose", action="store_true")
     p.add_argument("--ignore-isolated", action="store_true",
                    help="drop arcless nodes before checking connectivity")
 
-    p = add("homology", _cmd_homology, help="ranks and cycle-space basis")
+    p = add(sub, "homology", _cmd_homology, help="ranks and cycle-space basis")
     graph_arg(p)
     p.add_argument("--max-coeff", type=int, default=None, metavar="K",
                    help="also list boundaryless vectors with coefficients <= K")
 
-    p = add("decompose", _cmd_decompose,
+    p = add(sub, "decompose", _cmd_decompose,
             help="write a positive boundaryless chain as closed walks")
     graph_arg(p)
     p.add_argument("chain", help="chain JSON file")
 
-    p = add("postman", _cmd_postman, help="minimal covering closed walk")
+    p = add(sub, "postman", _cmd_postman, help="minimal covering closed walk")
     graph_arg(p)
 
-    p = add("pagerank", _cmd_pagerank, help="damped random-walk scores")
+    p = add(sub, "pagerank", _cmd_pagerank, help="damped random-walk scores")
     graph_arg(p)
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -452,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true",
                    help="include the component census")
 
-    p = add("hom-count", _cmd_hom_count, help="closed-walk counts for lengths 0..N")
+    p = add(sub, "hom-count", _cmd_hom_count, help="closed-walk counts for lengths 0..N")
     graph_arg(p)
     p.add_argument("n", type=int)
     p.add_argument("--enumerate", action="store_true",
@@ -461,19 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     refl = sub.add_parser("reflexive", help="reflexive graph operations")
     rsub = refl.add_subparsers(dest="subcommand", required=True)
 
-    p = rsub.add_parser("add", help="freely add degenerate loops")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_reflexive_add)
+    p = add(rsub, "add", _cmd_reflexive_add, help="freely add degenerate loops")
     graph_arg(p)
 
-    p = rsub.add_parser("strip", help="drop the degenerate loops")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_reflexive_strip)
+    p = add(rsub, "strip", _cmd_reflexive_strip, help="drop the degenerate loops")
     p.add_argument("graph", help="reflexive graph JSON, '-' for stdin")
 
-    p = rsub.add_parser("weq", help="reflexive weak-equivalence verdict")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_reflexive_weq)
+    p = add(rsub, "weq", _cmd_reflexive_weq, help="reflexive weak-equivalence verdict")
     p.add_argument("domain")
     p.add_argument("codomain")
     p.add_argument("morphism")

@@ -169,6 +169,17 @@ def induced_subgraph(g: DirectedGraph, node_subset: Iterable[str]) -> DirectedGr
     return DirectedGraph(nodes, arcs)
 
 
+def _chained_arcs(g: DirectedGraph, arc_ids: tuple[str, ...]) -> list[Arc]:
+    """The arcs named by arc_ids, each starting where the one before it ends."""
+    records = [g.arc(a) for a in arc_ids]
+    for prev, nxt in zip(records, records[1:]):
+        if prev.tgt != nxt.src:
+            raise ValidationError(
+                f"arcs {prev.id!r} and {nxt.id!r} do not chain ({prev.tgt!r} != {nxt.src!r})"
+            )
+    return records
+
+
 @dataclass(frozen=True)
 class Walk:
     """Open walk: consecutive arcs; nodes may repeat.
@@ -184,12 +195,7 @@ class Walk:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         g = self.graph
-        records = [g.arc(a) for a in self.arcs]
-        for prev, nxt in zip(records, records[1:]):
-            if prev.tgt != nxt.src:
-                raise ValidationError(
-                    f"arcs {prev.id!r} and {nxt.id!r} do not chain ({prev.tgt!r} != {nxt.src!r})"
-                )
+        records = _chained_arcs(g, self.arcs)
         if records:
             derived = records[0].src
             if self.start is not None and self.start != derived:
@@ -242,12 +248,7 @@ class ClosedWalk:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         g = self.graph
-        records = [g.arc(a) for a in self.arcs]
-        for prev, nxt in zip(records, records[1:]):
-            if prev.tgt != nxt.src:
-                raise ValidationError(
-                    f"arcs {prev.id!r} and {nxt.id!r} do not chain ({prev.tgt!r} != {nxt.src!r})"
-                )
+        records = _chained_arcs(g, self.arcs)
         if records:
             if records[-1].tgt != records[0].src:
                 raise ValidationError(
@@ -381,11 +382,6 @@ class GraphMorphism:
             tuple(self.arc_map[a] for a in walk.arcs),
             start=self.node_map[walk.start],
         )
-
-
-def validate_morphism(m: GraphMorphism) -> bool:
-    """True iff both commuting squares hold; see m.violations() for details."""
-    return m.is_valid()
 
 
 @dataclass(frozen=True)

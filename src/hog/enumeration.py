@@ -12,6 +12,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .core import Arc, DirectedGraph
+from .scc import _UnionFind
 
 Cells = tuple[tuple[int, int], ...]
 
@@ -30,20 +31,10 @@ def graph_from_cells(num_nodes: int, cells: Cells) -> DirectedGraph:
 
 
 def _cells_weakly_connected(num_nodes: int, cells: Cells) -> bool:
-    """Union-find check that every node is touched and in one undirected piece."""
-    parent = list(range(num_nodes))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for s, t in cells:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt)] = min(rs, rt)
-    return len({find(i) for i in range(num_nodes)}) == 1
+    """True iff the cells join all nodes into one undirected piece: a
+    spanning tree takes exactly num_nodes - 1 merging unions."""
+    sets = _UnionFind(range(num_nodes))
+    return sum(sets.union(s, t) for s, t in cells) == num_nodes - 1
 
 
 def small_graphs(

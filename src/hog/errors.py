@@ -47,6 +47,10 @@ class InvalidMorphismError(ValidationError):
     pass
 
 
+class CoefficientError(ValidationError):
+    """A chain coefficient that is not an int (bools included)."""
+
+
 class DomainError(HogError):
     """Structurally valid input without the property the operation requires."""
 

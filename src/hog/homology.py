@@ -18,20 +18,34 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, Mapping
 
 from .core import ClosedWalk, DirectedGraph
 from .errors import (
     CapExceededError,
+    CoefficientError,
     NegativeCoefficientError,
     NoArcsError,
     NonzeroBoundaryError,
     NotConnectedError,
     NotStronglyConnectedError,
-    UnknownNodeError,
     ValidationError,
 )
 from .euler import EulerReport, _splice
-from .scc import is_connected, is_strongly_connected, weak_components
+from .scc import _UnionFind, is_connected, is_strongly_connected, weak_components
+
+
+def _nonzero_integers(
+    coefficients: Mapping[str, int], lookup: Callable[[str], object]
+) -> dict[str, int]:
+    """The nonzero entries, after checking that every value is an int and
+    then that lookup, which raises on an unknown id, accepts every key."""
+    for key, c in coefficients.items():
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise CoefficientError(f"coefficient of {key!r} is not an integer")
+    for key in coefficients:
+        lookup(key)
+    return {key: c for key, c in coefficients.items() if c}
 
 
 @dataclass(frozen=True)
@@ -42,11 +56,7 @@ class ArcChain:
     coefficients: dict[str, int]
 
     def __post_init__(self) -> None:
-        clean = {}
-        for aid, c in self.coefficients.items():
-            self.graph.arc(aid)
-            if c:
-                clean[aid] = int(c)
+        clean = _nonzero_integers(self.coefficients, self.graph.arc)
         object.__setattr__(self, "coefficients", clean)
 
     @property
@@ -71,12 +81,8 @@ class NodeChain:
     coefficients: dict[str, int]
 
     def __post_init__(self) -> None:
-        clean = {}
-        for nid, c in self.coefficients.items():
-            if not self.graph.has_node(nid):
-                raise UnknownNodeError(f"unknown node {nid!r}")
-            if c:
-                clean[nid] = int(c)
+        # out_arcs raises UnknownNodeError for a node outside the graph
+        clean = _nonzero_integers(self.coefficients, self.graph.out_arcs)
         object.__setattr__(self, "coefficients", clean)
 
 
@@ -147,24 +153,15 @@ def _forest_cycle_basis(g: DirectedGraph) -> tuple[ArcChain, ...]:
     Each tree is rooted once, and a chord's path climbs from both of its ends
     to their lowest common ancestor, so the cost is proportional to the output.
     """
-    parent: dict[str, str] = {n: n for n in g.nodes}
-
-    def find(n: str) -> str:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
+    forest = _UnionFind(g.nodes)
     tree: dict[str, list[tuple[str, str, int]]] = {n: [] for n in g.nodes}
     chords = []
     for a in g.arcs:
-        rs, rt = find(a.src), find(a.tgt)
-        if rs == rt:
-            chords.append(a)
-        else:
-            parent[max(rs, rt)] = min(rs, rt)
+        if forest.union(a.src, a.tgt):
             tree[a.src].append((a.tgt, a.id, +1))
             tree[a.tgt].append((a.src, a.id, -1))
+        else:
+            chords.append(a)
 
     # up[v] = (parent node, tree arc, sign of the step from v to its parent)
     up: dict[str, tuple[str, str, int]] = {}

@@ -27,7 +27,7 @@ from .errors import (
     UnknownNodeError,
     ValidationError,
 )
-from .scc import SccDecomposition, scc_decompose
+from .scc import SccDecomposition, _UnionFind, scc_decompose
 
 DEFAULT_HOM_CAP = 10**6
 
@@ -382,20 +382,10 @@ def glue_paths(
     if set(p1.arcs) & set(p2.arcs):
         raise NotSimpleError("paths must be arc-disjoint")
 
-    parent = {n: n for n in g.nodes}
-
-    def find(n: str) -> str:
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
+    classes = _UnionFind(g.nodes)
     for u, v in zip(p1.visits, p2.visits):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            keep, drop = min(ru, rv), max(ru, rv)
-            parent[drop] = keep
-    node_rep = {n: find(n) for n in g.nodes}
+        classes.union(u, v)
+    node_rep = {n: classes.find(n) for n in g.nodes}
 
     arc_rep: dict[str, str] = {}
     for a1, a2 in zip(p1.arcs, p2.arcs):

@@ -19,12 +19,12 @@ import sys
 from typing import Any
 
 from .core import Arc, DirectedGraph, GraphMorphism, build_graph
-from .errors import ParseError
+from .errors import CoefficientError, ParseError
 from .homology import ArcChain
-from .reflexive import ReflexiveGraph
+from .reflexive import ReflexiveGraph, ReflexiveMorphism
 
 
-def graph_to_dict(g: DirectedGraph) -> dict[str, Any]:
+def graph_to_dict(g: DirectedGraph | ReflexiveGraph) -> dict[str, Any]:
     return {
         "nodes": list(g.nodes),
         "arcs": [{"id": a.id, "src": a.src, "tgt": a.tgt} for a in g.arcs],
@@ -32,11 +32,7 @@ def graph_to_dict(g: DirectedGraph) -> dict[str, Any]:
 
 
 def reflexive_to_dict(g: ReflexiveGraph) -> dict[str, Any]:
-    return {
-        "nodes": list(g.nodes),
-        "arcs": [{"id": a.id, "src": a.src, "tgt": a.tgt} for a in g.arcs],
-        "degeneracies": dict(g.degeneracy),
-    }
+    return {**graph_to_dict(g), "degeneracies": dict(g.degeneracy)}
 
 
 def morphism_to_dict(m: GraphMorphism) -> dict[str, Any]:
@@ -88,15 +84,19 @@ def reflexive_from_dict(payload: Any) -> ReflexiveGraph:
 
 
 def morphism_from_dict(
-    payload: Any, domain: DirectedGraph, codomain: DirectedGraph
-) -> GraphMorphism:
+    payload: Any,
+    domain: DirectedGraph | ReflexiveGraph,
+    codomain: DirectedGraph | ReflexiveGraph,
+) -> GraphMorphism | ReflexiveMorphism:
+    """A GraphMorphism, or a ReflexiveMorphism between reflexive graphs."""
     if not isinstance(payload, dict):
         raise ParseError("morphism payload must be a JSON object")
     nodes = payload.get("nodes")
     arcs = payload.get("arcs", {})
     if not isinstance(nodes, dict) or not isinstance(arcs, dict):
         raise ParseError('morphism payload needs "nodes" and "arcs" maps')
-    return GraphMorphism(
+    cls = ReflexiveMorphism if isinstance(domain, ReflexiveGraph) else GraphMorphism
+    return cls(
         domain,
         codomain,
         {str(k): str(v) for k, v in nodes.items()},
@@ -107,12 +107,10 @@ def morphism_from_dict(
 def chain_from_dict(payload: Any, graph: DirectedGraph) -> ArcChain:
     if not isinstance(payload, dict) or not isinstance(payload.get("coefficients"), dict):
         raise ParseError('chain payload needs a "coefficients" map')
-    coeffs = {}
-    for k, v in payload["coefficients"].items():
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParseError(f"coefficient of {k!r} is not an integer")
-        coeffs[str(k)] = v
-    return ArcChain(graph, coeffs)
+    try:
+        return ArcChain(graph, {str(k): v for k, v in payload["coefficients"].items()})
+    except CoefficientError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_edgelist(text: str) -> DirectedGraph:
@@ -172,14 +170,15 @@ def load_graph(path: str, fmt: str = "auto") -> DirectedGraph:
     return parse_graph_text(text, fmt, source=path)
 
 
-parse_graph_file = load_graph
-
-
 def load_reflexive(path: str) -> ReflexiveGraph:
     return reflexive_from_dict(load_json(path))
 
 
-def load_morphism(path: str, domain: DirectedGraph, codomain: DirectedGraph) -> GraphMorphism:
+def load_morphism(
+    path: str,
+    domain: DirectedGraph | ReflexiveGraph,
+    codomain: DirectedGraph | ReflexiveGraph,
+) -> GraphMorphism | ReflexiveMorphism:
     return morphism_from_dict(load_json(path), domain, codomain)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Hashable, Iterable
 
 from .core import Arc, DirectedGraph, induced_subgraph
 from .errors import EmptyGraphError
@@ -137,25 +138,44 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
     return len(scc_decompose(g).components) == 1
 
 
+class _UnionFind:
+    """Disjoint sets over hashable, ordered members (Tarjan, JACM 1975).
+
+    ``find`` halves the path it walks; ``union`` keeps the lesser root, so
+    the least member of every set is its root.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, members: Iterable[Hashable]) -> None:
+        self.parent = {m: m for m in members}
+
+    def find(self, x: Hashable) -> Hashable:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, x: Hashable, y: Hashable) -> bool:
+        """Merge the sets of x and y; False when they were already one."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
+
+
 def weak_components(g: DirectedGraph) -> tuple[tuple[str, ...], ...]:
-    """Partition of the nodes ignoring arc direction."""
-    idx_of = g.node_index
-    parent = list(range(len(g.nodes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    """Partition of the nodes ignoring arc direction, in first-node order."""
+    sets = _UnionFind(g.nodes)
     for a in g.arcs:
-        ri, rj = find(idx_of[a.src]), find(idx_of[a.tgt])
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    buckets: dict[int, list[str]] = {}
-    for i, node in enumerate(g.nodes):
-        buckets.setdefault(find(i), []).append(node)
-    return tuple(tuple(buckets[r]) for r in sorted(buckets))
+        sets.union(a.src, a.tgt)
+    buckets: dict[str, list[str]] = {}
+    for node in g.nodes:
+        buckets.setdefault(sets.find(node), []).append(node)
+    return tuple(map(tuple, buckets.values()))
 
 
 def is_connected(g: DirectedGraph) -> bool:

@@ -217,6 +217,46 @@ def _python(args, cwd):
     )
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "morphism payload must be a JSON object"),
+        ({"nodes": ["x"], "arcs": {}}, 'morphism payload needs "nodes" and "arcs" maps'),
+        ({"arcs": {}}, 'morphism payload needs "nodes" and "arcs" maps'),
+    ],
+    ids=["list", "node-list", "no-nodes"],
+)
+def test_reflexive_weq_rejects_malformed_morphism_exit_2(capsys, tmp_path, payload, message):
+    rc3 = tmp_path / "rc3.json"
+    rc3.write_text(json.dumps(reflexive_to_dict(add_degeneracies(standard_cycle(3)))))
+    f_path = tmp_path / "f.json"
+    f_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "reflexive", "weq", str(rc3), str(rc3), str(f_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_reflexive_weq_text_lists_the_component_matching_like_weq(capsys):
+    def golden(*names):
+        return [os.path.join(GOLDEN, name) for name in names]
+
+    _, plain, _ = run(capsys, "weq", *golden(
+        "twocycles.json", "twocycles-image.json", "twocycles.morphism.json"
+    ))
+    code, lifted, _ = run(capsys, "reflexive", "weq", *golden(
+        "twocycles-reflexive.json", "twocycles-image-reflexive.json",
+        "twocycles-reflexive.morphism.json",
+    ))
+    assert code == 0
+    assert lifted == plain
+    assert "component 0 -> 3\n" in lifted
+
+
 def test_enumerating_long_walks_on_a_self_loop(tmp_path):
     (tmp_path / "loop.txt").write_text("x x\n")
     proc = _python(["-m", "hog.cli", "hom-count", "loop.txt", "1500", "--enumerate"], tmp_path)

@@ -14,7 +14,6 @@ from hog.core import (
     standard_cycle,
     standard_path,
     trace_of_power,
-    validate_morphism,
 )
 from hog.errors import (
     DanglingEndpointError,
@@ -154,19 +153,19 @@ def test_adjacency_matrix():
     assert adjacency_matrix(doubled).count("x", "y") == 2
 
 
-def test_validate_morphism_identity_and_rotation():
+def test_morphism_is_valid_identity_and_rotation():
     c3 = standard_cycle(3)
-    assert validate_morphism(GraphMorphism.identity(c3))
+    assert GraphMorphism.identity(c3).is_valid()
     rotation = GraphMorphism(
         c3,
         c3,
         {"x0": "x1", "x1": "x2", "x2": "x0"},
         {"a0": "a1", "a1": "a2", "a2": "a0"},
     )
-    assert validate_morphism(rotation)
+    assert rotation.is_valid()
 
 
-def test_validate_morphism_flags_bad_arc():
+def test_morphism_is_valid_flags_bad_arc():
     c3 = standard_cycle(3)
     broken = GraphMorphism(
         c3,
@@ -174,7 +173,7 @@ def test_validate_morphism_flags_bad_arc():
         {"x0": "x0", "x1": "x1", "x2": "x2"},
         {"a0": "a0", "a1": "a2", "a2": "a2"},  # a1 sent to an arc with wrong source
     )
-    assert not validate_morphism(broken)
+    assert not broken.is_valid()
     assert any("a1" in v for v in broken.violations())
 
 

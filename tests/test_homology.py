@@ -58,6 +58,28 @@ def test_chains_on_different_graphs_do_not_add():
     assert str(exc.value) == "chains live on different graphs"
 
 
+@pytest.mark.parametrize("chain, key", [(ArcChain, "a0"), (NodeChain, "x0")])
+@pytest.mark.parametrize("value", [1.5, 0.5, 1.0, True, False, "1", None])
+def test_chain_coefficients_must_be_ints(chain, key, value):
+    with pytest.raises(ValidationError) as exc:
+        chain(standard_cycle(2), {key: value})
+    assert str(exc.value) == f"coefficient of {key!r} is not an integer"
+
+
+@pytest.mark.parametrize("chain, key", [(ArcChain, "a1"), (NodeChain, "x1")])
+def test_chain_checks_every_type_before_any_id(chain, key):
+    with pytest.raises(ValidationError) as exc:
+        chain(standard_cycle(2), {"zz": 1, key: 0.5})
+    assert str(exc.value) == f"coefficient of {key!r} is not an integer"
+
+
+@pytest.mark.parametrize("chain, ids", [(ArcChain, ("a0", "a1")), (NodeChain, ("x0", "x1"))])
+def test_chain_drops_zero_entries(chain, ids):
+    g = standard_cycle(2)
+    assert chain(g, {ids[0]: 0, ids[1]: -2}).coefficients == {ids[1]: -2}
+    assert chain(g, {ids[0]: 0}).coefficients == {}
+
+
 def test_node_chain_rejects_unknown_node():
     with pytest.raises(UnknownNodeError) as exc:
         NodeChain(standard_cycle(2), {"x0": 1, "y": 2})

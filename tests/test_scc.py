@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 
 from hog.core import Arc, build_graph, standard_cycle, standard_path
-from hog.enumeration import small_graphs
+from hog.enumeration import connected_small_graphs, small_graphs
 from hog.errors import EmptyGraphError
 from hog.scc import (
     is_acyclic,
@@ -109,6 +110,38 @@ def test_deterministic_enumeration_sample_against_oracle():
 def test_weak_components_partition():
     g = build_graph(["a", "b", "c"], [("e", "a", "b")])
     assert weak_components(g) == (("a", "b"), ("c",))
+
+
+@pytest.mark.parametrize(
+    "seed, n, m",
+    [(0, 1, 0), (1, 2, 1), (2, 12, 6), (3, 80, 60), (4, 400, 300), (5, 1000, 700),
+     (6, 1000, 1200), (7, 1000, 3000)],
+)
+def test_weak_components_match_networkx(seed, n, m):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    # ids in random order, so least id and first node differ
+    nodes = [f"v{i}" for i in rng.sample(range(10 * n), n)]
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(m)]
+    pairs += [(v, v) for v in rng.sample(nodes, n // 10)]
+    pairs += rng.sample(pairs, len(pairs) // 10)
+    g = build_graph(nodes, [(f"e{k}", s, t) for k, (s, t) in enumerate(pairs)])
+    ref = nx.MultiDiGraph()
+    ref.add_nodes_from(nodes)
+    ref.add_edges_from(pairs)
+    comps = weak_components(g)
+    assert sum(map(len, comps)) == n
+    assert {frozenset(c) for c in comps} == set(map(frozenset, nx.weakly_connected_components(ref)))
+    # components by first node, members in node order
+    positions = [[g.node_index[v] for v in c] for c in comps]
+    assert all(p == sorted(p) for p in positions)
+    assert [p[0] for p in positions] == sorted(p[0] for p in positions)
+
+
+def test_connected_small_graphs_filters_small_graphs_by_connectivity():
+    expected = [g for g in small_graphs(3, 4, 1) if is_connected(g)]
+    assert len(expected) > 100
+    assert list(connected_small_graphs(3, 4)) == expected
 
 
 def test_parallel_arcs_keep_first_appearance_successor_order():
