@@ -22,7 +22,7 @@ from . import homology as homology_mod
 from . import homotopy, io
 from . import reflexive as reflexive_mod
 from .core import Walk
-from .errors import DomainError, HogError, InputError, ParseError
+from .errors import DomainError, HogError, InputError, ParseError, ValidationError
 from .pagerank import connectivity_report, pagerank
 from .scc import scc_decompose
 
@@ -312,6 +312,8 @@ def _cmd_hom_count(args: argparse.Namespace) -> int:
     from .core import trace_of_power
 
     g = io.load_graph(args.graph, args.format)
+    if args.n < 0:
+        raise ValidationError("walk length must be >= 0")
     counts = []
     for n in range(args.n + 1):
         if args.enumerate:

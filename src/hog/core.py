@@ -58,6 +58,21 @@ class DirectedGraph:
             _raise_first_fault(nodes, arcs)
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.nodes, self.arcs))
+
+    def __hash__(self) -> int:
+        # Hashed once per instance: scc_decompose's cache looks graphs up on
+        # every call, and the field hash walks every arc.
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so the stored one stays behind.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    @cached_property
     def node_index(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.nodes)}
 
@@ -315,35 +330,22 @@ class GraphMorphism:
         object.__setattr__(self, "arc_map", dict(self.arc_map))
 
     def violations(self) -> list[str]:
-        """All ways this fails to be a morphism (empty list when valid)."""
+        """All ways this fails to be a morphism (empty list when valid): the
+        nodes in domain order, then the arcs in domain order."""
         out: list[str] = []
         nm, am = self.node_map, self.arc_map
-        cod = self.codomain
+        node_index, arc_by_id = self.codomain.node_index, self.codomain.arc_by_id
         for n in self.domain.nodes:
             img = nm.get(n)
             if img is None:
                 out.append(f"node {n!r} is not mapped")
-            elif not cod.has_node(img):
+            elif img not in node_index:
                 out.append(f"node {n!r} maps to unknown node {img!r}")
-        for a in self.domain.arcs:
-            img = am.get(a.id)
-            if img is None:
-                out.append(f"arc {a.id!r} is not mapped")
-                continue
-            if not cod.has_arc(img):
-                out.append(f"arc {a.id!r} maps to unknown arc {img!r}")
-                continue
-            rec = cod.arc(img)
-            if nm.get(a.src) != rec.src:
-                out.append(
-                    f"arc {a.id!r}: source {a.src!r} maps to {nm.get(a.src)!r} "
-                    f"but image arc {img!r} starts at {rec.src!r}"
-                )
-            if nm.get(a.tgt) != rec.tgt:
-                out.append(
-                    f"arc {a.id!r}: target {a.tgt!r} maps to {nm.get(a.tgt)!r} "
-                    f"but image arc {img!r} ends at {rec.tgt!r}"
-                )
+        for aid, src, tgt in self.domain.arcs:
+            img = am.get(aid)
+            rec = arc_by_id.get(img)
+            if rec is None or rec.src != nm.get(src) or rec.tgt != nm.get(tgt):
+                out.extend(_arc_faults(aid, src, tgt, img, rec, nm))
         return out
 
     def is_valid(self) -> bool:
@@ -382,6 +384,28 @@ class GraphMorphism:
             tuple(self.arc_map[a] for a in walk.arcs),
             start=self.node_map[walk.start],
         )
+
+
+def _arc_faults(
+    aid: str, src: str, tgt: str, img: str | None, rec: Arc | None, nm: Mapping[str, str]
+) -> list[str]:
+    """The violations of one arc that fails the morphism check."""
+    if img is None:
+        return [f"arc {aid!r} is not mapped"]
+    if rec is None:
+        return [f"arc {aid!r} maps to unknown arc {img!r}"]
+    out = []
+    if nm.get(src) != rec.src:
+        out.append(
+            f"arc {aid!r}: source {src!r} maps to {nm.get(src)!r} "
+            f"but image arc {img!r} starts at {rec.src!r}"
+        )
+    if nm.get(tgt) != rec.tgt:
+        out.append(
+            f"arc {aid!r}: target {tgt!r} maps to {nm.get(tgt)!r} "
+            f"but image arc {img!r} ends at {rec.tgt!r}"
+        )
+    return out
 
 
 @dataclass(frozen=True)

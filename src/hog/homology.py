@@ -405,6 +405,8 @@ def positive_kernel_vectors(
     Brute-force enumeration over the coefficient grid; raises CapExceededError
     when the grid is larger than *cap*.
     """
+    if max_coeff < 0:
+        raise ValidationError("max_coeff must be >= 0")
     arcs = [a.id for a in g.arcs]
     grid = (max_coeff + 1) ** len(arcs)
     if grid > cap:

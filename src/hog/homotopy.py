@@ -11,6 +11,12 @@ components (those containing at least one arc).  That restriction is derived
 rather than proved; the test suite cross-validates it against the enumeration
 oracle, and ``brute_force_weq_check`` remains available as an independent
 falsifier.
+
+Both verdicts, and the reflexive one, validate the morphism once and then call
+``_component_verdict(f, dx, dy, cycles_only)`` with the two decompositions.
+It reads the per-component node sets and arc ids that each decomposition
+tabulates once (``SccDecomposition.table``), so a verdict on graphs already
+in the decomposition cache builds no per-graph set.
 """
 
 from __future__ import annotations
@@ -130,74 +136,78 @@ def enumerate_hom_cycles(
     return HomSet(n, tuple(ClosedWalk(g, t) for t in tuples))
 
 
+def _refuted(witness: str) -> WeakEquivalenceVerdict:
+    return WeakEquivalenceVerdict(False, None, witness)
+
+
 def _component_verdict(
-    f: GraphMorphism,
-    dx: SccDecomposition,
-    dy: SccDecomposition,
-    dom_indices: list[int],
-    cod_indices: list[int],
+    f: GraphMorphism, dx: SccDecomposition, dy: SccDecomposition, cycles_only: bool
 ) -> WeakEquivalenceVerdict:
+    """The component characterization for a validated morphism f, given the
+    decompositions of its domain and codomain.
+
+    Components are matched in domain order: each must land in one codomain
+    component, no two in the same one, and every codomain component must be
+    hit.  Then each matched pair must correspond bijectively on nodes and on
+    inner arcs.  With cycles_only, arcless components on either side are left
+    out, and a component mapping into one is refuted.  The first failing check
+    gives the witness.
+    """
     nm, am = f.node_map, f.arc_map
-    cod_index_set = set(cod_indices)
+    comps, cod_of = dx.components, dy.component_of
+    tx, ty = dx.table, dy.table
+    dom_indices = tx.cyclic if cycles_only else tx.indices
+    cod_indices = ty.cyclic if cycles_only else ty.indices
     matching: list[tuple[int, int]] = []
     image_of: dict[int, int] = {}
     for i in dom_indices:
-        comp = dx.components[i]
-        images = {dy.component_of[nm[v]] for v in comp}
-        if len(images) > 1:
-            return WeakEquivalenceVerdict(
-                False, None, f"image of component {i} spans components {sorted(images)}"
-            )
-        j = images.pop()
-        if j not in cod_index_set:
-            return WeakEquivalenceVerdict(
-                False, None, f"component {i} maps into excluded component {j}"
-            )
+        comp = comps[i]
+        if len(comp) == 1:
+            j = cod_of[nm[comp[0]]]
+        else:
+            images = {cod_of[nm[v]] for v in comp}
+            if len(images) > 1:
+                return _refuted(f"image of component {i} spans components {sorted(images)}")
+            (j,) = images
+        if cycles_only and not ty.arc_ids[j]:
+            return _refuted(f"component {i} maps into excluded component {j}")
         prev = image_of.get(j)
         if prev is not None:
-            return WeakEquivalenceVerdict(
-                False,
-                None,
-                f"components {prev} and {i} both map onto codomain component {j}",
-            )
+            return _refuted(f"components {prev} and {i} both map onto codomain component {j}")
         image_of[j] = i
         matching.append((i, j))
-    missed = [j for j in cod_indices if j not in image_of]
-    if missed:
-        nodes = ", ".join(dy.components[missed[0]])
-        return WeakEquivalenceVerdict(
-            False,
-            None,
-            f"codomain component {missed[0]} ({nodes}) is not the image of any "
-            f"domain component ({len(dom_indices)} vs {len(cod_indices)} components)",
+    if len(image_of) != len(cod_indices):
+        missed = next(j for j in cod_indices if j not in image_of)
+        nodes = ", ".join(dy.components[missed])
+        return _refuted(
+            f"codomain component {missed} ({nodes}) is not the image of any "
+            f"domain component ({len(dom_indices)} vs {len(cod_indices)} components)"
         )
     for i, j in matching:
-        comp = dx.components[i]
-        target = dy.components[j]
-        node_images = [nm[v] for v in comp]
-        if len(set(node_images)) != len(comp):
-            return WeakEquivalenceVerdict(
-                False, None, f"restriction to component {i} is not injective on nodes"
-            )
-        if set(node_images) != set(target):
-            return WeakEquivalenceVerdict(
-                False,
-                None,
+        comp, target = comps[i], ty.node_sets[j]
+        if len(comp) == 1:
+            # The one image lies in component j, so the sets agree iff j is a singleton.
+            same_nodes = len(target) == 1
+        else:
+            node_images = {nm[v] for v in comp}
+            if len(node_images) != len(comp):
+                return _refuted(f"restriction to component {i} is not injective on nodes")
+            same_nodes = node_images == target
+        if not same_nodes:
+            return _refuted(
                 f"component {i} has {len(comp)} nodes but its image component {j} "
-                f"has {len(target)}",
+                f"has {len(target)}"
             )
-        arc_images = [am[a.id] for a in dx.component_arcs[i]]
-        target_arcs = {a.id for a in dy.component_arcs[j]}
-        if len(set(arc_images)) != len(arc_images):
-            return WeakEquivalenceVerdict(
-                False, None, f"restriction to component {i} is not injective on arcs"
-            )
-        if set(arc_images) != target_arcs:
-            return WeakEquivalenceVerdict(
-                False,
-                None,
-                f"component {i} carries {len(arc_images)} arcs but its image "
-                f"component {j} has {len(target_arcs)}",
+        arcs, target_arcs = tx.arc_ids[i], ty.arc_id_sets[j]
+        if not arcs and not target_arcs:
+            continue
+        arc_images = {am[a] for a in arcs}
+        if len(arc_images) != len(arcs):
+            return _refuted(f"restriction to component {i} is not injective on arcs")
+        if arc_images != target_arcs:
+            return _refuted(
+                f"component {i} carries {len(arcs)} arcs but its image "
+                f"component {j} has {len(target_arcs)}"
             )
     return WeakEquivalenceVerdict(True, tuple(matching), None)
 
@@ -205,14 +215,11 @@ def _component_verdict(
 def is_weak_equivalence(f: GraphMorphism) -> WeakEquivalenceVerdict:
     """Decide the full counting class (walks of every length, nodes included).
 
-    Total and fast: no walk enumeration, only the component characterization.
+    Total and fast: no walk enumeration, only the component characterization,
+    read from the per-component tables of the cached decompositions.
     """
     f.validate()
-    dx = scc_decompose(f.domain)
-    dy = scc_decompose(f.codomain)
-    return _component_verdict(
-        f, dx, dy, list(range(len(dx.components))), list(range(len(dy.components)))
-    )
+    return _component_verdict(f, scc_decompose(f.domain), scc_decompose(f.codomain), False)
 
 
 def is_weak_equivalence_cycles_only(f: GraphMorphism) -> WeakEquivalenceVerdict:
@@ -224,11 +231,7 @@ def is_weak_equivalence_cycles_only(f: GraphMorphism) -> WeakEquivalenceVerdict:
     ``brute_force_weq_check`` in the test suite.
     """
     f.validate()
-    dx = scc_decompose(f.domain)
-    dy = scc_decompose(f.codomain)
-    dom = [i for i, arcs in enumerate(dx.component_arcs) if arcs]
-    cod = [j for j, arcs in enumerate(dy.component_arcs) if arcs]
-    return _component_verdict(f, dx, dy, dom, cod)
+    return _component_verdict(f, scc_decompose(f.domain), scc_decompose(f.codomain), True)
 
 
 def brute_force_weq_check(

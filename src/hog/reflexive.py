@@ -11,26 +11,32 @@ weak-equivalence verdict is the ordinary one on the underlying graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import homotopy
 from .core import Arc, ClosedWalk, DirectedGraph, GraphMorphism
 from .errors import InvalidMorphismError, ValidationError
 from .homotopy import HomSet, WeakEquivalenceVerdict
+from .scc import scc_decompose
 
 
 @dataclass(frozen=True)
 class ReflexiveGraph:
-    """Directed multigraph plus one marked self-loop per node."""
+    """Directed multigraph plus one marked self-loop per node.
+
+    ``graph`` is the underlying directed graph, built and validated once.
+    """
 
     nodes: tuple[str, ...]
     arcs: tuple[Arc, ...]
     degeneracy: Mapping[str, str]
+    graph: DirectedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degeneracy", dict(self.degeneracy))
         g = DirectedGraph(self.nodes, self.arcs)
+        object.__setattr__(self, "graph", g)
         object.__setattr__(self, "nodes", g.nodes)
         object.__setattr__(self, "arcs", g.arcs)
         seen_loops: set[str] = set()
@@ -77,7 +83,10 @@ class ReflexiveMorphism:
         )
 
     def violations(self) -> list[str]:
-        out = self.underlying().violations()
+        return self.underlying().violations() + self._degeneracy_violations()
+
+    def _degeneracy_violations(self) -> list[str]:
+        out = []
         for n in self.domain.nodes:
             loop = self.domain.degeneracy[n]
             image_node = self.node_map.get(n)
@@ -117,7 +126,7 @@ def add_degeneracies(g: DirectedGraph) -> ReflexiveGraph:
 
 def forget_reflexive(g: ReflexiveGraph) -> DirectedGraph:
     """All arcs kept; degenerate loops become ordinary self-loops."""
-    return DirectedGraph(g.nodes, g.arcs)
+    return g.graph
 
 
 def strip_degeneracies(g: ReflexiveGraph) -> DirectedGraph:
@@ -157,6 +166,15 @@ def is_weak_equivalence_reflexive(f: ReflexiveMorphism) -> WeakEquivalenceVerdic
     with the loops kept, and the test suite checks that the partitions agree.
     Only the forward direction of the characterization is backed by a proof;
     the converse is validated empirically by the test suite.
+
+    The underlying morphism is built and checked once, with the same error
+    text as ``f.validate()``; the graphs are those the reflexive graphs keep,
+    so their decompositions come from the cache.
     """
-    f.validate()
-    return homotopy.is_weak_equivalence(f.underlying())
+    u = f.underlying()
+    bad = u.violations() + f._degeneracy_violations()
+    if bad:
+        raise InvalidMorphismError("; ".join(bad))
+    return homotopy._component_verdict(
+        u, scc_decompose(u.domain), scc_decompose(u.codomain), False
+    )

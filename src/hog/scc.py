@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .core import Arc, DirectedGraph, induced_subgraph
 from .errors import EmptyGraphError
@@ -26,6 +26,16 @@ class ComponentSubgraph:
 
     def as_graph(self) -> DirectedGraph:
         return induced_subgraph(self.parent, self.nodes)
+
+
+class ComponentTable(NamedTuple):
+    """Per-component lookups of one decomposition, indexed by component."""
+
+    node_sets: tuple[frozenset[str], ...]
+    arc_ids: tuple[tuple[str, ...], ...]  # arcs inside the component, graph order
+    arc_id_sets: tuple[frozenset[str], ...]
+    indices: tuple[int, ...]  # every component
+    cyclic: tuple[int, ...]  # the components that contain an arc
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +55,19 @@ class SccDecomposition:
             if ci == comp[a.tgt]:
                 buckets[ci].append(a)
         return tuple(tuple(b) for b in buckets)
+
+    @cached_property
+    def table(self) -> ComponentTable:
+        """Built on first use and kept with the decomposition, so every
+        verdict on a cached graph reads it instead of rebuilding sets."""
+        arc_ids = tuple(tuple(a.id for a in arcs) for arcs in self.component_arcs)
+        return ComponentTable(
+            tuple(map(frozenset, self.components)),
+            arc_ids,
+            tuple(map(frozenset, arc_ids)),
+            tuple(range(len(self.components))),
+            tuple(i for i, ids in enumerate(arc_ids) if ids),
+        )
 
     def subgraph(self, index: int) -> ComponentSubgraph:
         return ComponentSubgraph(

@@ -6,13 +6,20 @@ lengths by breadth-first search over covered-arc states, walk counts by raw
 itertools filtering, and matrix ranks via sympy.  The one exception is the
 Euler attachment script, whose reference replays the library's own glue and
 attach surgery step by step, as the script's definition says.
+
+The weak-equivalence references keep the component verdict as it was before
+it read precomputed component tables: sets rebuilt on every call, index lists
+passed in, and the reflexive verdict on freshly forgotten graphs.  They share
+the library's SCC decomposition, which other tests check on its own.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from hog.core import ClosedWalk, DirectedGraph, standard_cycle
+from hog.core import ClosedWalk, DirectedGraph, GraphMorphism, standard_cycle
+from hog.homotopy import WeakEquivalenceVerdict
+from hog.scc import SccDecomposition, scc_decompose
 
 
 def scc_by_transitive_closure(g: DirectedGraph) -> set[frozenset[str]]:
@@ -212,3 +219,101 @@ def euler_decompose_by_replay(g: DirectedGraph):
             place(gn, cur)
     correspondence = {s: gn for gn, s in to_sim.items()}
     return AttachmentDecomposition(first.length, tuple(steps), correspondence)
+
+
+def component_verdict_by_sets(
+    f: GraphMorphism,
+    dx: SccDecomposition,
+    dy: SccDecomposition,
+    dom_indices: list[int],
+    cod_indices: list[int],
+) -> WeakEquivalenceVerdict:
+    nm, am = f.node_map, f.arc_map
+    cod_index_set = set(cod_indices)
+    matching: list[tuple[int, int]] = []
+    image_of: dict[int, int] = {}
+    for i in dom_indices:
+        comp = dx.components[i]
+        images = {dy.component_of[nm[v]] for v in comp}
+        if len(images) > 1:
+            return WeakEquivalenceVerdict(
+                False, None, f"image of component {i} spans components {sorted(images)}"
+            )
+        j = images.pop()
+        if j not in cod_index_set:
+            return WeakEquivalenceVerdict(
+                False, None, f"component {i} maps into excluded component {j}"
+            )
+        prev = image_of.get(j)
+        if prev is not None:
+            return WeakEquivalenceVerdict(
+                False,
+                None,
+                f"components {prev} and {i} both map onto codomain component {j}",
+            )
+        image_of[j] = i
+        matching.append((i, j))
+    missed = [j for j in cod_indices if j not in image_of]
+    if missed:
+        nodes = ", ".join(dy.components[missed[0]])
+        return WeakEquivalenceVerdict(
+            False,
+            None,
+            f"codomain component {missed[0]} ({nodes}) is not the image of any "
+            f"domain component ({len(dom_indices)} vs {len(cod_indices)} components)",
+        )
+    for i, j in matching:
+        comp = dx.components[i]
+        target = dy.components[j]
+        node_images = [nm[v] for v in comp]
+        if len(set(node_images)) != len(comp):
+            return WeakEquivalenceVerdict(
+                False, None, f"restriction to component {i} is not injective on nodes"
+            )
+        if set(node_images) != set(target):
+            return WeakEquivalenceVerdict(
+                False,
+                None,
+                f"component {i} has {len(comp)} nodes but its image component {j} "
+                f"has {len(target)}",
+            )
+        arc_images = [am[a.id] for a in dx.component_arcs[i]]
+        target_arcs = {a.id for a in dy.component_arcs[j]}
+        if len(set(arc_images)) != len(arc_images):
+            return WeakEquivalenceVerdict(
+                False, None, f"restriction to component {i} is not injective on arcs"
+            )
+        if set(arc_images) != target_arcs:
+            return WeakEquivalenceVerdict(
+                False,
+                None,
+                f"component {i} carries {len(arc_images)} arcs but its image "
+                f"component {j} has {len(target_arcs)}",
+            )
+    return WeakEquivalenceVerdict(True, tuple(matching), None)
+
+
+def weq_by_sets(f: GraphMorphism) -> WeakEquivalenceVerdict:
+    f.validate()
+    dx = scc_decompose(f.domain)
+    dy = scc_decompose(f.codomain)
+    return component_verdict_by_sets(
+        f, dx, dy, list(range(len(dx.components))), list(range(len(dy.components)))
+    )
+
+
+def weq_cycles_only_by_sets(f: GraphMorphism) -> WeakEquivalenceVerdict:
+    f.validate()
+    dx = scc_decompose(f.domain)
+    dy = scc_decompose(f.codomain)
+    dom = [i for i, arcs in enumerate(dx.component_arcs) if arcs]
+    cod = [j for j, arcs in enumerate(dy.component_arcs) if arcs]
+    return component_verdict_by_sets(f, dx, dy, dom, cod)
+
+
+def weq_reflexive_by_sets(f) -> WeakEquivalenceVerdict:
+    """The verdict of a ReflexiveMorphism on freshly rebuilt underlying graphs."""
+    f.validate()
+    dom = DirectedGraph(f.domain.nodes, f.domain.arcs)
+    cod = DirectedGraph(f.codomain.nodes, f.codomain.arcs)
+    return weq_by_sets(GraphMorphism(dom, cod, f.node_map, f.arc_map))

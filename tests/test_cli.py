@@ -265,6 +265,24 @@ def test_enumerating_long_walks_on_a_self_loop(tmp_path):
     assert proc.stdout.splitlines()[-1] == "1500 1"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hom-count", "two.txt", "-1"], "walk length must be >= 0"),
+        (["hom-count", "two.txt", "-1", "--enumerate"], "walk length must be >= 0"),
+        (["homology", "two.txt", "--max-coeff", "-1"], "max_coeff must be >= 0"),
+    ],
+    ids=["hom-count", "hom-count-enumerate", "homology-max-coeff"],
+)
+def test_negative_length_and_coefficient_bound_exit_2(tmp_path, argv, message):
+    (tmp_path / "two.txt").write_text("x y a\ny x b\n")
+    proc = _python(["-m", "hog.cli", *argv], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_homology_command(capsys, c3_file):
     code, out, _ = run(capsys, "homology", c3_file, "--max-coeff", "1")
     assert code == 0

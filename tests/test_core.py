@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hog
 from hog.core import (
     Arc,
     ClosedWalk,
@@ -265,3 +271,92 @@ def test_cycle_has_n_rotations(n):
 def test_trace_of_power_zero_is_node_count():
     g = build_graph(["a", "b", "c"], [("e", "a", "b")])
     assert trace_of_power(g, 0) == 3
+
+
+def _violation_cases() -> dict[str, GraphMorphism]:
+    """One morphism per kind of fault, and one with every fault at once.
+
+    The domain is a 3-cycle u -> v -> w -> u with a loop d at u; the valid
+    morphism sends it onto the 3-cycle x0 -> x1 -> x2 -> x0 with a loop l.
+    """
+    dom = build_graph(
+        ["u", "v", "w"],
+        [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u"), ("d", "u", "u")],
+    )
+    cod = build_graph(
+        ["x0", "x1", "x2"],
+        [("a0", "x0", "x1"), ("a1", "x1", "x2"), ("a2", "x2", "x0"), ("l", "x0", "x0")],
+    )
+    nodes = {"u": "x0", "v": "x1", "w": "x2"}
+    arcs = {"a": "a0", "b": "a1", "c": "a2", "d": "l"}
+
+    def changed(node_map=None, arc_map=None, drop=()):
+        nm = {**nodes, **(node_map or {})}
+        am = {**arcs, **(arc_map or {})}
+        for key in drop:
+            nm.pop(key, None)
+            am.pop(key, None)
+        return GraphMorphism(dom, cod, nm, am)
+
+    return {
+        "valid": changed(),
+        "unmapped node": changed(drop=("v",)),
+        "unknown node image": changed(node_map={"v": "zz"}),
+        "unmapped arc": changed(drop=("b",)),
+        "unknown arc image": changed(arc_map={"b": "nope"}),
+        "source mismatch": changed(arc_map={"d": "a2"}),
+        "target mismatch": changed(arc_map={"d": "a0"}),
+        "both mismatch": changed(arc_map={"b": "a2"}),
+        "every fault": changed(
+            node_map={"w": "zz"}, arc_map={"a": "nope", "b": "a2", "d": "a0"}, drop=("v", "c")
+        ),
+    }
+
+
+def test_morphism_violations_match_golden():
+    """The exact messages, in order, as the node-by-node then arc-by-arc
+    checks reported them before the single-pass rewrite."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "violations.json")
+    with open(path, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    got = {name: f.violations() for name, f in _violation_cases().items()}
+    assert got == expected
+    for name, f in _violation_cases().items():
+        assert f.is_valid() == (name == "valid")
+
+
+PICKLE_WRITER = """
+import pickle, sys
+from hog.core import build_graph
+g = build_graph(["u", "v", "w"], [("a", "u", "v"), ("b", "v", "u"), ("c", "v", "w")])
+hash(g)
+with open(sys.argv[1], "wb") as handle:
+    pickle.dump(g, handle)
+"""
+PICKLE_READER = """
+import pickle, sys
+from hog.core import build_graph
+from hog.scc import scc_decompose
+g = build_graph(["u", "v", "w"], [("a", "u", "v"), ("b", "v", "u"), ("c", "v", "w")])
+entries = {g: "found"}
+dec = scc_decompose(g)
+with open(sys.argv[1], "rb") as handle:
+    loaded = pickle.load(handle)
+hits = scc_decompose.cache_info().hits
+same = scc_decompose(loaded) is dec
+print(loaded == g, loaded is g, entries.get(loaded), scc_decompose.cache_info().hits - hits, same)
+"""
+
+
+def test_pickled_graph_rehashes_in_a_process_with_another_hash_seed(tmp_path):
+    """str hashes depend on PYTHONHASHSEED, so a graph's stored hash must not
+    travel with it: the loaded graph hashes like an equal graph built there."""
+    src = os.path.dirname(os.path.dirname(hog.__file__))
+    path = str(tmp_path / "g.pickle")
+    for seed, script in (("1", PICKLE_WRITER), ("2", PICKLE_READER)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, path], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False found 1 True\n"

@@ -269,3 +269,8 @@ def test_positive_kernel_vectors_on_c2():
     assert {"a0": 1, "a1": 1} in coeff_sets
     assert {"a0": 2, "a1": 2} in coeff_sets
     assert len(coeff_sets) == 2
+
+
+def test_positive_kernel_vectors_rejects_a_negative_bound():
+    with pytest.raises(ValidationError, match="max_coeff must be >= 0"):
+        positive_kernel_vectors(standard_cycle(2), -1)

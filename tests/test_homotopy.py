@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,3 +338,120 @@ def test_hom_counts_match_trace_on_samples():
     ):
         for n in range(7):
             assert len(enumerate_hom_cycles(g, n)) == trace_of_power(g, n)
+
+
+def _random_multigraph(rng, n):
+    """Planted cycles joined by random arcs: several SCCs, loops, parallel arcs."""
+    nodes = [f"v{i}" for i in range(n)]
+    arcs = []
+    start = 0
+    while start < n:
+        size = rng.randint(1, 6)
+        block = nodes[start:start + size]
+        if rng.random() < 0.7:
+            arcs += [(block[k], block[(k + 1) % len(block)]) for k in range(len(block))]
+        start += size
+    arcs += [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, n))]
+    rng.shuffle(arcs)
+    return build_graph(nodes, [(f"a{k}", s, t) for k, (s, t) in enumerate(arcs)])
+
+
+def _random_quotient(rng, g):
+    """Collapse nodes onto fewer representatives; parallel images may share an
+    arc, and the codomain may gain arcs and isolated nodes."""
+    k = rng.randint(1, len(g.nodes))
+    nm = {v: f"y{rng.randrange(k)}" for v in g.nodes}
+    cod_nodes = list(dict.fromkeys(nm.values()))
+    cod_arcs, am, by_ends = [], {}, {}
+    for a in g.arcs:
+        ends = (nm[a.src], nm[a.tgt])
+        if ends in by_ends and rng.random() < 0.3:
+            am[a.id] = rng.choice(by_ends[ends])
+            continue
+        am[a.id] = f"b{len(cod_arcs)}"
+        by_ends.setdefault(ends, []).append(am[a.id])
+        cod_arcs.append((am[a.id], *ends))
+    for j in range(rng.randint(0, 2)):
+        cod_arcs.append((f"extra{j}", rng.choice(cod_nodes), rng.choice(cod_nodes)))
+    cod_nodes += [f"lone{j}" for j in range(rng.randint(0, 1))]
+    return GraphMorphism(g, build_graph(cod_nodes, cod_arcs), nm, am)
+
+
+def _relabelling(rng, g):
+    nodes = list(g.nodes)
+    rng.shuffle(nodes)
+    nm = {v: f"r{i}" for i, v in enumerate(nodes)}
+    arcs = list(g.arcs)
+    rng.shuffle(arcs)
+    am = {a.id: f"s{i}" for i, a in enumerate(arcs)}
+    cod = build_graph([nm[v] for v in nodes], [(am[a.id], nm[a.src], nm[a.tgt]) for a in arcs])
+    return GraphMorphism(g, cod, nm, am)
+
+
+def _corpus_morphism(rng, corpus):
+    """A corpus pair and node map drawn uniformly, then a compatible arc map
+    drawn uniformly; draws without one are skipped."""
+    while True:
+        x, y = rng.choice(corpus), rng.choice(corpus)
+        nm = {v: rng.choice(y.nodes) for v in x.nodes}
+        if rng.random() < 0.5 and len(x.nodes) == len(y.nodes):
+            nm = dict(zip(x.nodes, rng.sample(y.nodes, len(y.nodes))))
+        am = {}
+        for a in x.arcs:
+            fits = [b.id for b in y.arcs if (b.src, b.tgt) == (nm[a.src], nm[a.tgt])]
+            if not fits:
+                break
+            am[a.id] = rng.choice(fits)
+        else:
+            return GraphMorphism(x, y, nm, am)
+
+
+# Every witness a valid morphism can get.  A morphism sends a strongly
+# connected component, and its arcs, into one codomain component, so the
+# "spans components" and "maps into excluded component" checks never fire.
+WITNESS_KINDS = (
+    "both map onto",
+    "is not the image",
+    "not injective on nodes",
+    "nodes but its image",
+    "not injective on arcs",
+    "arcs but its image",
+)
+
+
+def test_component_verdict_matches_the_set_based_reference():
+    """The table-based verdict against the verdict as it was before it read
+    precomputed component tables: same truth value, component matching and
+    witness, in all three verdicts, on corpus draws, quotient maps, relabelling
+    isomorphisms, cofibrant embeddings and the lifts of all of them."""
+    from hog.enumeration import small_graphs
+    from hog.reflexive import is_weak_equivalence_reflexive, lift_morphism
+    from oracles import weq_by_sets, weq_cycles_only_by_sets, weq_reflexive_by_sets
+
+    rng = random.Random(20141408)
+    corpus = list(small_graphs(3, 4))
+    morphisms = [_corpus_morphism(rng, corpus) for _ in range(3000)]
+    for _ in range(150):
+        g = _random_multigraph(rng, rng.randint(1, 40))
+        morphisms += [_random_quotient(rng, g), _relabelling(rng, g), cofibrant_replacement(g)[1]]
+
+    def triple(v):
+        return v.is_weak_equivalence, v.component_matching, v.witness
+
+    witnesses = set()
+    true_counts = [0, 0, 0]
+    pairs = (
+        (is_weak_equivalence, weq_by_sets),
+        (is_weak_equivalence_cycles_only, weq_cycles_only_by_sets),
+        (is_weak_equivalence_reflexive, weq_reflexive_by_sets),
+    )
+    for f in morphisms:
+        lifted = lift_morphism(f)
+        for k, (verdict, reference) in enumerate(pairs):
+            arg = lifted if k == 2 else f
+            got = triple(verdict(arg))
+            assert got == triple(reference(arg)), (k, f)
+            true_counts[k] += got[0]
+            witnesses.update(kind for kind in WITNESS_KINDS if kind in (got[2] or ""))
+    assert all(0 < t < len(morphisms) for t in true_counts), true_counts
+    assert witnesses == set(WITNESS_KINDS)

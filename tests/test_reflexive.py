@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from hog.core import ClosedWalk, standard_cycle, standard_path
+from hog.core import ClosedWalk, DirectedGraph, GraphMorphism, standard_cycle, standard_path
 from hog.errors import InvalidMorphismError, ValidationError
 from hog.homotopy import is_weak_equivalence
 from hog.reflexive import (
@@ -154,3 +154,24 @@ def test_scc_partition_same_with_or_without_degeneracies(g):
     assert {frozenset(c) for c in full.components} == {
         frozenset(c) for c in bare.components
     }
+
+
+def test_verdict_reports_every_violation_in_the_validate_text():
+    """One check of the underlying morphism and of the degeneracies, with the
+    message ``validate`` gives: underlying faults first, then the loops."""
+    rg = add_degeneracies(standard_cycle(2))
+    arc_map = {"a0": "a1", "a1": "a1", "loop_x0": "a0", "loop_x1": "loop_x1"}
+    bad = ReflexiveMorphism(rg, rg, {"x0": "x1", "x1": "x1"}, arc_map)
+    with pytest.raises(InvalidMorphismError) as expected:
+        bad.validate()
+    with pytest.raises(InvalidMorphismError) as got:
+        is_weak_equivalence_reflexive(bad)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).count(";") == 3 and "degenerate loop 'loop_x0'" in str(got.value)
+
+
+def test_forgetting_returns_the_graph_the_reflexive_graph_keeps():
+    f = lift_morphism(GraphMorphism.identity(standard_cycle(2)))
+    assert forget_reflexive(f.domain) is f.domain.graph
+    assert f.domain.graph == DirectedGraph(f.domain.nodes, f.domain.arcs)
+    assert f.underlying().codomain is f.codomain.graph

@@ -166,3 +166,17 @@ def test_parallel_arcs_keep_first_appearance_successor_order():
         Arc("e1", "3", "2"),
         Arc("e2", "3", "0"),
     )
+
+
+def test_scc_decompose_reports_cache_hits_through_cache_info():
+    """The benchmark's tracer splits scc_decompose spans into cache hits and
+    misses by reading ``scc_decompose.cache_info``, and its traced run reports
+    the hit ratio and the number of cached graphs from it."""
+    info = scc_decompose.cache_info
+    g = build_graph(["p", "q", "r"], [("pq", "p", "q"), ("qp", "q", "p"), ("qr", "q", "r")])
+    before = info()
+    dec = scc_decompose(g)
+    assert scc_decompose(build_graph(g.nodes, g.arcs)) is dec
+    after = info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    assert 0 < after.currsize <= after.maxsize
