@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DanglingEndpointError,
@@ -36,6 +37,26 @@ class Arc(NamedTuple):
 _arc_id, _arc_src, _arc_tgt = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
+def arcs_from_columns(ids: Iterable[str], srcs: Iterable[str], tgts: Iterable[str]) -> list[Arc]:
+    """The arcs (ids[k], srcs[k], tgts[k]), built without a Python-level call per arc.
+
+    A list, which ``DirectedGraph`` turns into its tuple: a tuple grown from
+    an iterator is tracked anew by the cyclic collector at every resize, so
+    each young collection the new arcs trigger would walk all of it again.
+    """
+    return list(map(tuple.__new__, repeat(Arc), zip(ids, srcs, tgts)))
+
+
+def arc_ends(
+    arcs: Sequence[Arc], key: Callable[[str], int]
+) -> tuple[Iterator[int], Iterator[int]]:
+    """key(src) and key(tgt) of every arc, in arc order, as two lazy columns.
+
+    With a builtin key such as ``dict.__getitem__`` each column runs in C.
+    """
+    return map(key, map(_arc_src, arcs)), map(key, map(_arc_tgt, arcs))
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Finite directed multigraph with named nodes and arcs."""
@@ -45,7 +66,9 @@ class DirectedGraph:
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
-        arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in self.arcs)
+        arcs = tuple(self.arcs)
+        if not set(map(type, arcs)) <= {Arc}:
+            arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in arcs)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "arcs", arcs)
         node_set = set(nodes)

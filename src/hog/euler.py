@@ -144,28 +144,24 @@ def _extract_cycles(g: DirectedGraph) -> list[ClosedWalk]:
     return cycles
 
 
-def _splice(current: ClosedWalk, cycle: ClosedWalk, at: str) -> ClosedWalk:
-    rebased = cycle.rotate_to(at)
-    pos = current.visits.index(at)
-    return ClosedWalk(
-        current.graph,
-        current.arcs[:pos] + rebased.arcs + current.arcs[pos:],
-        base=current.base if current.arcs else at,
-    )
-
-
 def euler_cycle(g: DirectedGraph, ignore_isolated: bool = False) -> ClosedWalk:
-    """Closed walk using every arc exactly once, spliced from extracted cycles."""
+    """Closed walk using every arc exactly once, spliced from extracted cycles.
+
+    Each later cycle goes in just before the first visit of its base node.
+    The splices run on plain lists, and the walk is built and checked once.
+    """
     if ignore_isolated:
         g = _drop_isolated(g)
     report = euler_check(g)
     if not report.is_eulerian:
         raise NotEulerianError(_not_eulerian_message(report))
-    cycles = _extract_cycles(g)
-    walk = cycles[0]
-    for cyc in cycles[1:]:
-        walk = _splice(walk, cyc, cyc.base)
-    return walk
+    first, *rest = _extract_cycles(g)
+    arcs, visits = list(first.arcs), list(first.visits)
+    for cyc in rest:
+        pos = visits.index(cyc.base)
+        arcs[pos:pos] = cyc.arcs
+        visits[pos:pos] = cyc.visits
+    return ClosedWalk(g, tuple(arcs))
 
 
 def _not_eulerian_message(report: EulerReport) -> str:

@@ -31,7 +31,7 @@ from .errors import (
     NotStronglyConnectedError,
     ValidationError,
 )
-from .euler import EulerReport, _splice
+from .euler import EulerReport
 from .scc import _UnionFind, is_connected, is_strongly_connected, weak_components
 
 
@@ -247,6 +247,16 @@ def decompose_positive_chain(u: ArcChain) -> CycleDecomposition:
         cycles.append(ClosedWalk(g, tuple(walk)))
         mults.append(1 + extra)
     return CycleDecomposition(tuple(cycles), tuple(mults))
+
+
+def _splice(current: ClosedWalk, cycle: ClosedWalk, at: str) -> ClosedWalk:
+    rebased = cycle.rotate_to(at)
+    pos = current.visits.index(at)
+    return ClosedWalk(
+        current.graph,
+        current.arcs[:pos] + rebased.arcs + current.arcs[pos:],
+        base=current.base if current.arcs else at,
+    )
 
 
 def _splice_all(walks: list[ClosedWalk]) -> ClosedWalk:

@@ -22,8 +22,10 @@ in the decomposition cache builds no per-graph set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
-from .core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, Walk
+from .core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, Walk, _arc_id, arc_ends
 from .errors import (
     CapExceededError,
     EndpointMismatchError,
@@ -146,12 +148,16 @@ def _component_verdict(
     """The component characterization for a validated morphism f, given the
     decompositions of its domain and codomain.
 
-    Components are matched in domain order: each must land in one codomain
-    component, no two in the same one, and every codomain component must be
-    hit.  Then each matched pair must correspond bijectively on nodes and on
-    inner arcs.  With cycles_only, arcless components on either side are left
-    out, and a component mapping into one is refuted.  The first failing check
-    gives the witness.
+    Components are matched in domain order: no two may land in the same
+    codomain component, and every codomain component must be hit.  Then each
+    matched pair must correspond bijectively on nodes and on inner arcs.  With
+    cycles_only, arcless components on either side are left out.  The first
+    failing check gives the witness.
+
+    A component's image component is read off its first node: a closed walk
+    maps to a closed walk, so a valid morphism sends each component and its
+    inner arcs into one codomain component, which has an arc when the domain
+    component has one.
     """
     nm, am = f.node_map, f.arc_map
     comps, cod_of = dx.components, dy.component_of
@@ -161,16 +167,7 @@ def _component_verdict(
     matching: list[tuple[int, int]] = []
     image_of: dict[int, int] = {}
     for i in dom_indices:
-        comp = comps[i]
-        if len(comp) == 1:
-            j = cod_of[nm[comp[0]]]
-        else:
-            images = {cod_of[nm[v]] for v in comp}
-            if len(images) > 1:
-                return _refuted(f"image of component {i} spans components {sorted(images)}")
-            (j,) = images
-        if cycles_only and not ty.arc_ids[j]:
-            return _refuted(f"component {i} maps into excluded component {j}")
+        j = cod_of[nm[comps[i][0]]]
         prev = image_of.get(j)
         if prev is not None:
             return _refuted(f"components {prev} and {i} both map onto codomain component {j}")
@@ -268,12 +265,11 @@ def cofibrant_replacement(g: DirectedGraph) -> tuple[DirectedGraph, GraphMorphis
     The inclusion of the result back into g is always a weak equivalence, and
     the construction is idempotent.
     """
-    comp = scc_decompose(g).component_of
-    kept = tuple(a for a in g.arcs if comp[a.src] == comp[a.tgt])
+    at = scc_decompose(g).component_of.__getitem__
+    kept = tuple(compress(g.arcs, map(eq, *arc_ends(g.arcs, at))))
     core = DirectedGraph(g.nodes, kept)
-    embedding = GraphMorphism(
-        core, g, {n: n for n in core.nodes}, {a.id: a.id for a in kept}
-    )
+    ids = tuple(map(_arc_id, kept))
+    embedding = GraphMorphism(core, g, dict(zip(core.nodes, core.nodes)), dict(zip(ids, ids)))
     return core, embedding
 
 

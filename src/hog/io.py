@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from typing import Any
 
-from .core import Arc, DirectedGraph, GraphMorphism, build_graph
+from .core import DirectedGraph, GraphMorphism, arcs_from_columns, build_graph
 from .errors import CoefficientError, ParseError
 from .homology import ArcChain
 from .reflexive import ReflexiveGraph, ReflexiveMorphism
@@ -114,19 +115,28 @@ def chain_from_dict(payload: Any, graph: DirectedGraph) -> ArcChain:
 
 
 def parse_edgelist(text: str) -> DirectedGraph:
-    arcs: list[Arc] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        parts = raw.split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    ids: list[str] = []
+    srcs: list[str] = []
+    tgts: list[str] = []
+    add_id, add_src, add_tgt = ids.append, srcs.append, tgts.append
+    for lineno, parts in enumerate(map(str.split, lines), 1):
         if len(parts) == 2:
-            arcs.append(Arc(f"e{len(arcs)}", parts[0], parts[1]))
+            add_id(f"e{len(ids)}")
+            src, tgt = parts
         elif len(parts) == 3:
-            arcs.append(Arc(parts[2], parts[0], parts[1]))
+            src, tgt, arc_id = parts
+            add_id(arc_id)
         elif parts:
             raise ParseError(f"line {lineno}: expected 'src tgt [arc_id]'")
-    nodes = dict.fromkeys(v for a in arcs for v in (a.src, a.tgt))
-    return DirectedGraph(tuple(nodes), tuple(arcs))
+        else:
+            continue
+        add_src(src)
+        add_tgt(tgt)
+    nodes = dict.fromkeys(chain.from_iterable(zip(srcs, tgts)))
+    return DirectedGraph(tuple(nodes), arcs_from_columns(ids, srcs, tgts))
 
 
 def _read_text(path: str) -> str:

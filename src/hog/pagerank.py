@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import DirectedGraph
+from .core import DirectedGraph, arc_ends
 from .errors import EmptyGraphError, NoConvergenceError, ValidationError
 from .scc import scc_decompose
 
@@ -91,9 +91,10 @@ def pagerank(
     import numpy as np
 
     n, m = len(g.nodes), len(g.arcs)
-    idx = g.node_index
-    src = np.fromiter((idx[a.src] for a in g.arcs), dtype=np.intp, count=m)
-    tgt = np.fromiter((idx[a.tgt] for a in g.arcs), dtype=np.intp, count=m)
+    src, tgt = (
+        np.fromiter(col, dtype=np.intp, count=m)
+        for col in arc_ends(g.arcs, g.node_index.__getitem__)
+    )
     outdeg = np.bincount(src, minlength=n)
     dangling = np.flatnonzero(outdeg == 0)
     inv_outdeg = np.zeros(n)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress, count
+from operator import eq, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
-from .core import Arc, DirectedGraph, induced_subgraph
+from .core import Arc, DirectedGraph, arc_ends, arcs_from_columns, induced_subgraph
 from .errors import EmptyGraphError
 
 
@@ -85,12 +87,13 @@ def scc_decompose(g: DirectedGraph) -> SccDecomposition:
     Graphs are immutable values, so results are memoized; treat the returned
     decomposition as read-only.
     """
-    idx_of = g.node_index
-    n = len(g.nodes)
+    nodes = g.nodes
+    n = len(nodes)
+    src_ix, tgt_ix = map(list, arc_ends(g.arcs, g.node_index.__getitem__))
     # One insertion-ordered dict per node drops parallel arcs in O(1) each.
     succ_seen: list[dict[int, None]] = [{} for _ in range(n)]
-    for a in g.arcs:
-        succ_seen[idx_of[a.src]][idx_of[a.tgt]] = None
+    for v, w in zip(src_ix, tgt_ix):
+        succ_seen[v][w] = None
     succ = [list(d) for d in succ_seen]
 
     index = [-1] * n
@@ -112,45 +115,50 @@ def scc_decompose(g: DirectedGraph) -> SccDecomposition:
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            recurse = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
-                if index[w] == -1:
+            out = succ[v]
+            low = lowlink[v]
+            for j in range(pi, len(out)):
+                w = out[j]
+                iw = index[w]
+                if iw == -1:
+                    lowlink[v] = low
                     work.append((v, j + 1))
                     work.append((w, 0))
-                    recurse = True
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(components)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if iw < low and on_stack[w]:
+                    low = iw
+            else:
+                lowlink[v] = low
+                if low == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp_of[w] = len(components)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
 
-    ordered = tuple(tuple(g.nodes[i] for i in sorted(comp)) for comp in components)
-    component_of = {g.nodes[i]: comp_of[i] for i in range(n)}
+    ordered = tuple(tuple(map(nodes.__getitem__, sorted(comp))) for comp in components)
+    component_of = dict(zip(nodes, comp_of))
 
-    seen_pairs: set[tuple[int, int]] = set()
-    cond_arcs: list[Arc] = []
-    for a in g.arcs:
-        ci, cj = component_of[a.src], component_of[a.tgt]
-        if ci != cj and (ci, cj) not in seen_pairs:
-            seen_pairs.add((ci, cj))
-            cond_arcs.append(Arc(f"e{len(cond_arcs)}", str(ci), str(cj)))
-    condensation = DirectedGraph(
-        tuple(str(i) for i in range(len(components))), tuple(cond_arcs)
+    # Each component pair once, in order of first appearance among the arcs.
+    at = comp_of.__getitem__
+    cs, ct = list(map(at, src_ix)), list(map(at, tgt_ix))
+    pairs = dict.fromkeys(compress(zip(cs, ct), map(ne, cs, ct)))
+    names = tuple(map(str, range(len(components))))
+    name = names.__getitem__
+    cond_arcs = arcs_from_columns(
+        map("e{}".format, count()),
+        map(name, map(itemgetter(0), pairs)),
+        map(name, map(itemgetter(1), pairs)),
     )
+    condensation = DirectedGraph(names, cond_arcs)
     return SccDecomposition(g, ordered, component_of, condensation)
 
 
@@ -210,5 +218,4 @@ def is_connected(g: DirectedGraph) -> bool:
 
 def is_acyclic(g: DirectedGraph) -> bool:
     """True iff there is no closed walk of positive length."""
-    comp = scc_decompose(g).component_of
-    return not any(comp[a.src] == comp[a.tgt] for a in g.arcs)
+    return not any(map(eq, *arc_ends(g.arcs, scc_decompose(g).component_of.__getitem__)))

@@ -11,13 +11,19 @@ The weak-equivalence references keep the component verdict as it was before
 it read precomputed component tables: sets rebuilt on every call, index lists
 passed in, and the reflexive verdict on freshly forgotten graphs.  They share
 the library's SCC decomposition, which other tests check on its own.
+
+The per-arc references keep the edge-list parser, the SCC decomposition, its
+inner-arc buckets, the acyclicity test and the cofibrant core as they were
+while every per-arc pass was a Python loop with string-keyed lookups, and
+``euler_cycle`` as it was while it spliced whole validated walks.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from hog.core import ClosedWalk, DirectedGraph, GraphMorphism, standard_cycle
+from hog.core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, standard_cycle
+from hog.errors import ParseError
 from hog.homotopy import WeakEquivalenceVerdict
 from hog.scc import SccDecomposition, scc_decompose
 
@@ -317,3 +323,139 @@ def weq_reflexive_by_sets(f) -> WeakEquivalenceVerdict:
     dom = DirectedGraph(f.domain.nodes, f.domain.arcs)
     cod = DirectedGraph(f.codomain.nodes, f.codomain.arcs)
     return weq_by_sets(GraphMorphism(dom, cod, f.node_map, f.arc_map))
+
+
+def parse_edgelist_by_loop(text: str) -> DirectedGraph:
+    arcs: list[Arc] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if len(parts) == 2:
+            arcs.append(Arc(f"e{len(arcs)}", parts[0], parts[1]))
+        elif len(parts) == 3:
+            arcs.append(Arc(parts[2], parts[0], parts[1]))
+        elif parts:
+            raise ParseError(f"line {lineno}: expected 'src tgt [arc_id]'")
+    nodes = dict.fromkeys(v for a in arcs for v in (a.src, a.tgt))
+    return DirectedGraph(tuple(nodes), tuple(arcs))
+
+
+def scc_decompose_by_loops(g: DirectedGraph) -> SccDecomposition:
+    """Single-pass Tarjan decomposition (iterative, insertion-order determinism)."""
+    idx_of = g.node_index
+    n = len(g.nodes)
+    # One insertion-ordered dict per node drops parallel arcs in O(1) each.
+    succ_seen: list[dict[int, None]] = [{} for _ in range(n)]
+    for a in g.arcs:
+        succ_seen[idx_of[a.src]][idx_of[a.tgt]] = None
+    succ = [list(d) for d in succ_seen]
+
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comp_of = [-1] * n
+    components: list[list[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work.pop()
+            if pi == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            for j in range(pi, len(succ[v])):
+                w = succ[v][j]
+                if index[w] == -1:
+                    work.append((v, j + 1))
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if recurse:
+                continue
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp_of[w] = len(components)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(comp)
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+
+    ordered = tuple(tuple(g.nodes[i] for i in sorted(comp)) for comp in components)
+    component_of = {g.nodes[i]: comp_of[i] for i in range(n)}
+
+    seen_pairs: set[tuple[int, int]] = set()
+    cond_arcs: list[Arc] = []
+    for a in g.arcs:
+        ci, cj = component_of[a.src], component_of[a.tgt]
+        if ci != cj and (ci, cj) not in seen_pairs:
+            seen_pairs.add((ci, cj))
+            cond_arcs.append(Arc(f"e{len(cond_arcs)}", str(ci), str(cj)))
+    condensation = DirectedGraph(
+        tuple(str(i) for i in range(len(components))), tuple(cond_arcs)
+    )
+    return SccDecomposition(g, ordered, component_of, condensation)
+
+
+def component_arcs_by_loop(dec: SccDecomposition) -> tuple[tuple[Arc, ...], ...]:
+    """Arcs lying inside each component, in graph order."""
+    buckets: list[list[Arc]] = [[] for _ in dec.components]
+    comp = dec.component_of
+    for a in dec.graph.arcs:
+        ci = comp[a.src]
+        if ci == comp[a.tgt]:
+            buckets[ci].append(a)
+    return tuple(tuple(b) for b in buckets)
+
+
+def is_acyclic_by_loop(g: DirectedGraph) -> bool:
+    """True iff there is no closed walk of positive length."""
+    comp = scc_decompose_by_loops(g).component_of
+    return not any(comp[a.src] == comp[a.tgt] for a in g.arcs)
+
+
+def cofibrant_replacement_by_loop(g: DirectedGraph) -> tuple[DirectedGraph, GraphMorphism]:
+    """Keep all nodes and exactly the arcs inside strongly connected components."""
+    comp = scc_decompose_by_loops(g).component_of
+    kept = tuple(a for a in g.arcs if comp[a.src] == comp[a.tgt])
+    core = DirectedGraph(g.nodes, kept)
+    embedding = GraphMorphism(
+        core, g, {n: n for n in core.nodes}, {a.id: a.id for a in kept}
+    )
+    return core, embedding
+
+
+def _splice_walks(current: ClosedWalk, cycle: ClosedWalk, at: str) -> ClosedWalk:
+    rebased = cycle.rotate_to(at)
+    pos = current.visits.index(at)
+    return ClosedWalk(
+        current.graph,
+        current.arcs[:pos] + rebased.arcs + current.arcs[pos:],
+        base=current.base if current.arcs else at,
+    )
+
+
+def euler_cycle_by_walk_splicing(g: DirectedGraph) -> ClosedWalk:
+    """Euler circuit of a balanced connected graph, splicing whole walks."""
+    from hog.euler import _extract_cycles
+
+    cycles = _extract_cycles(g)
+    walk = cycles[0]
+    for cyc in cycles[1:]:
+        walk = _splice_walks(walk, cyc, cyc.base)
+    return walk

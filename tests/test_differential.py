@@ -1,0 +1,168 @@
+"""The per-arc passes against their loop-based references in ``oracles``.
+
+The edge-list parser, the SCC decomposition with its inner-arc buckets and
+acyclicity test, and the cofibrant core must give the same values, in the
+same order, as the loops they replaced: components, the node-to-component
+map, the condensation with its ``e{k}`` ids, the kept arcs, the embedding's
+maps, parsed graphs with their node order, and the type and text of every
+error.  The graphs are seeded multigraphs with parallel arcs, self-loops,
+isolated nodes and arc ids out of node order, built from triples, from
+``Arc`` values and from a mix, plus a long path for depth.
+"""
+
+import random
+
+import pytest
+
+from hog.core import Arc, DirectedGraph, standard_path
+from hog.errors import DuplicateIdError, HogError, ParseError
+from hog.homotopy import cofibrant_replacement
+from hog.io import parse_edgelist
+from hog.scc import is_acyclic, scc_decompose
+from oracles import (
+    cofibrant_replacement_by_loop,
+    component_arcs_by_loop,
+    is_acyclic_by_loop,
+    parse_edgelist_by_loop,
+    scc_decompose_by_loops,
+)
+
+FORMS = ("triples", "arcs", "mix")
+
+
+def _triples(rng: random.Random, n: int, m: int) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """n nodes named out of order, two of them isolated, and m arcs with
+    parallel arcs, self-loops and shuffled ids."""
+    nodes = [f"v{i}" for i in rng.sample(range(3 * n), n)]
+    ends: list[tuple[str, str]] = []
+    for _ in range(m):
+        r = rng.random()
+        if r < 0.1 and ends:
+            ends.append(rng.choice(ends))
+        elif r < 0.2:
+            v = rng.choice(nodes)
+            ends.append((v, v))
+        else:
+            ends.append((rng.choice(nodes), rng.choice(nodes)))
+    for k in range(2):
+        nodes.insert(rng.randrange(len(nodes) + 1), f"iso{k}")
+    ids = rng.sample(range(10 * m + 1), m)
+    return nodes, [(f"a{i}", s, t) for i, (s, t) in zip(ids, ends)]
+
+
+def _graph(seed: int, form: str) -> DirectedGraph:
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    nodes, triples = _triples(rng, n, rng.randint(0, 3 * n))
+    if form == "arcs":
+        arcs = [Arc(*t) for t in triples]
+    elif form == "mix":
+        arcs = [Arc(*t) if rng.random() < 0.5 else t for t in triples]
+    else:
+        arcs = triples
+    return DirectedGraph(tuple(nodes), tuple(arcs))
+
+
+def _assert_same_decomposition(g: DirectedGraph) -> None:
+    got, want = scc_decompose(g), scc_decompose_by_loops(g)
+    assert got.components == want.components
+    assert list(got.component_of.items()) == list(want.component_of.items())
+    assert got.condensation.nodes == want.condensation.nodes
+    assert got.condensation.arcs == want.condensation.arcs
+    assert {type(a) for a in got.condensation.arcs} <= {Arc}
+    assert got.component_arcs == component_arcs_by_loop(want)
+    assert is_acyclic(g) == is_acyclic_by_loop(g)
+
+
+def _assert_same_core(g: DirectedGraph) -> None:
+    (core, emb), (ref_core, ref_emb) = cofibrant_replacement(g), cofibrant_replacement_by_loop(g)
+    assert core.nodes == ref_core.nodes
+    assert core.arcs == ref_core.arcs
+    assert list(emb.node_map.items()) == list(ref_emb.node_map.items())
+    assert list(emb.arc_map.items()) == list(ref_emb.arc_map.items())
+    assert emb.domain == ref_emb.domain and emb.codomain is g
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_construction_keeps_arcs_as_arc_values(form):
+    for seed in range(40):
+        g = _graph(seed, form)
+        assert {type(a) for a in g.arcs} <= {Arc}
+        assert g == DirectedGraph(g.nodes, tuple(map(tuple, g.arcs)))
+
+
+def test_construction_keeps_arc_subclasses_and_wraps_lists():
+    class Tagged(Arc):
+        pass
+
+    tagged = Tagged("a", "x", "y")
+    g = DirectedGraph(("x", "y"), (tagged, ["b", "y", "x"], ("c", "x", "x")))
+    assert g.arcs[0] is tagged
+    assert [type(a) for a in g.arcs] == [Tagged, Arc, Arc]
+    assert g.arcs[1:] == (Arc("b", "y", "x"), Arc("c", "x", "x"))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_decomposition_matches_the_loop_reference(form):
+    for seed in range(150):
+        _assert_same_decomposition(_graph(1000 + seed, form))
+
+
+def test_decomposition_of_a_long_path_matches_the_loop_reference():
+    g = standard_path(10_000)
+    _assert_same_decomposition(g)
+    reversed_ids = DirectedGraph(g.nodes[::-1], g.arcs[::-1])
+    _assert_same_decomposition(reversed_ids)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_cofibrant_core_matches_the_loop_reference(form):
+    for seed in range(150):
+        _assert_same_core(_graph(2000 + seed, form))
+    _assert_same_core(standard_path(10_000))
+
+
+def _edgelist_text(rng: random.Random) -> str:
+    """A seeded edge list with comments, blank lines, tabs, CRLF line ends,
+    and three-column lines among two-column ones."""
+    _, triples = _triples(rng, rng.randint(1, 30), rng.randint(0, 80))
+    lines = []
+    for aid, s, t in triples:
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "  ", "\t", "# note", "   # indented"]))
+        sep = rng.choice([" ", "\t", "  ", " \t "])
+        fields = [s, t, aid] if rng.random() < 0.4 else [s, t]
+        line = sep.join(fields)
+        if rng.random() < 0.2:
+            line += rng.choice([" # trailing", "#tight", "\t#"])
+        lines.append(line)
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def _outcome(parse, text: str):
+    try:
+        g = parse(text)
+    except HogError as exc:
+        return type(exc), str(exc)
+    return g.nodes, g.arcs, {type(a) for a in g.arcs} <= {Arc}
+
+
+def test_parse_matches_the_loop_reference():
+    rng = random.Random(20141014)
+    for _ in range(300):
+        text = _edgelist_text(rng)
+        assert _outcome(parse_edgelist, text) == _outcome(parse_edgelist_by_loop, text)
+
+
+def test_parse_errors_match_the_loop_reference():
+    rng = random.Random(1014)
+    faults = ["x", "x y z w", "a b c d # four columns", "x y e0", "x y e1"]
+    kinds = set()
+    for _ in range(200):
+        lines = _edgelist_text(rng).splitlines()
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(faults))
+        text = "\n".join(lines)
+        got = _outcome(parse_edgelist, text)
+        assert got == _outcome(parse_edgelist_by_loop, text)
+        kinds.add(got[0])
+    assert {ParseError, DuplicateIdError} <= kinds

@@ -15,7 +15,7 @@ from hog.euler import (
     euler_decompose,
 )
 from hog.homotopy import attach_cycle, glue_nodes
-from oracles import euler_decompose_by_replay
+from oracles import euler_cycle_by_walk_splicing, euler_decompose_by_replay
 from strategies import graphs
 
 
@@ -197,6 +197,14 @@ def test_script_equals_replayed_reference():
         _assert_same_script(_random_eulerian(seed))
     for seed in range(30):
         _assert_same_script(_hamiltonian_union(seed))
+
+
+def test_euler_cycle_equals_the_walk_splicing_reference():
+    graphs_ = [_random_eulerian(seed) for seed in range(200)]
+    graphs_ += [_hamiltonian_union(seed) for seed in range(30)]
+    for g in graphs_:
+        got, want = euler_cycle(g), euler_cycle_by_walk_splicing(g)
+        assert (got.arcs, got.base) == (want.arcs, want.base)
 
 
 @given(graphs(max_nodes=4, max_arcs=6))

@@ -15,6 +15,14 @@ ignores an extra isolated node, a glue whose positionwise identification
 merges nodes transitively, and degenerate loops whose default ids are taken.
 Only the JSON of ``reflexive weq`` is pinned, as its text now lists the
 component matching too.
+
+The edge-list files were written before ``parse_edgelist`` and the scc,
+cofibrant and pagerank passes ran their per-arc loops through ``map`` and
+``zip``.  Their input has comments, blank and whitespace-only lines, tabs,
+CRLF line ends, three-column ids among two-column lines (so the ``e{k}`` ids
+count every arc before them), parallel arcs, self-loops and six components.
+The two failing inputs pin stdout, stderr and the exit code of a malformed
+line and of a default id that an explicit one already took.
 """
 
 import os
@@ -46,6 +54,14 @@ CASES = [
         "reflexive", "weq", "twocycles-reflexive.json",
         "twocycles-image-reflexive.json", "twocycles-reflexive.morphism.json",
     ]),
+    ("web.scc", ["scc", "web.txt"]),
+    ("web.cofibrant", ["cofibrant", "web.txt"]),
+    ("web.pagerank-report", ["pagerank", "web.txt", "--report"]),
+]
+# (stem, argv, exit code) of inputs that fail: "{stem}.err" holds stderr too.
+FAILING = [
+    ("malformed.scc", ["scc", "malformed.txt"], 2),
+    ("duplicate.scc", ["scc", "duplicate.txt"], 2),
 ]
 JSON_ONLY = {"twocycles.reflexive-weq"}
 PARAMS = [
@@ -58,12 +74,33 @@ PARAMS = [
 ]
 
 
+
+
+def _run(capsys, argv: list[str], as_json: bool) -> tuple[int, str, str]:
+    argv = [os.path.join(GOLDEN, a) if a.endswith((".json", ".txt")) else a for a in argv]
+    code = main(argv + ["--json"] if as_json else argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as handle:
+        return handle.read()
+
+
 @pytest.mark.parametrize("stem, argv, as_json", PARAMS)
 def test_cli_output_matches_golden(capsys, stem, argv, as_json):
-    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a for a in argv]
-    suffix = ".json.out" if as_json else ".out"
-    if as_json:
-        argv.append("--json")
-    assert main(argv) == 0
-    with open(os.path.join(GOLDEN, f"{stem}{suffix}"), encoding="utf-8") as handle:
-        assert capsys.readouterr().out == handle.read()
+    code, out, _ = _run(capsys, argv, as_json)
+    assert code == 0
+    assert out == _golden(f"{stem}{'.json' if as_json else ''}.out")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "stem, argv, code", FAILING, ids=[c[0].replace(".", "-") for c in FAILING]
+)
+def test_cli_failure_matches_golden(capsys, stem, argv, code, as_json):
+    suffix = ".json" if as_json else ""
+    assert _run(capsys, argv, as_json) == (
+        code, _golden(f"{stem}{suffix}.out"), _golden(f"{stem}{suffix}.err")
+    )
