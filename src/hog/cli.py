@@ -3,10 +3,12 @@
 Each subcommand maps to one library operation.  Exit codes: 0 analysis ran
 (whatever its verdict), 1 domain error (the input lacks a required property,
 e.g. not Eulerian when a construction was requested), 2 malformed input
-(parse failures, duplicate/dangling/unknown references).  ``--json`` switches
-to machine-readable output with stable key order; identical inputs always
-produce byte-identical output.  The environment variable HOG_HOM_CAP
-overrides the walk-enumeration cap (default 10^6).
+(parse failures, input that is not UTF-8, duplicate/dangling/unknown
+references); a reader that closes the output pipe early ends the run quietly
+with exit code 1.  ``--json`` switches to machine-readable output with stable
+key order; identical inputs always produce byte-identical output.  The
+environment variable HOG_HOM_CAP overrides the walk-enumeration cap (default
+10^6).
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         f"component {i}: " + " ".join(c) for i, c in enumerate(dec.components)
     ]
     lines.append("condensation:")
-    lines.extend(f"{a.src} {a.tgt}" for a in dec.condensation.arcs)
+    cond = dec.condensation
+    lines.extend(f"{src} {tgt}" for src, tgt in zip(cond.arc_srcs, cond.arc_tgts))
     _emit(args, payload, lines)
     return 0
 
@@ -126,8 +129,8 @@ def _cmd_cofibrant(args: argparse.Namespace) -> int:
     }
     lines = [
         f"nodes: {len(core.nodes)}",
-        f"arcs kept: {len(core.arcs)} of {len(g.arcs)}",
-        "kept: " + " ".join(a.id for a in core.arcs),
+        f"arcs kept: {len(core.arc_ids)} of {len(g.arc_ids)}",
+        "kept: " + " ".join(core.arc_ids),
     ]
     _emit(args, payload, lines)
     return 0
@@ -145,7 +148,7 @@ def _cmd_glue_nodes(args: argparse.Namespace) -> int:
         _surgery_payload(result, morphism),
         [
             f"merged {args.x} and {args.y} into {morphism.node_map[args.x]}",
-            f"nodes: {len(result.nodes)}  arcs: {len(result.arcs)}",
+            f"nodes: {len(result.nodes)}  arcs: {len(result.arc_ids)}",
         ],
     )
     return 0
@@ -159,7 +162,7 @@ def _cmd_attach_cycle(args: argparse.Namespace) -> int:
         _surgery_payload(result, morphism),
         [
             f"attached a cycle of length {args.length} at {args.node}",
-            f"nodes: {len(result.nodes)}  arcs: {len(result.arcs)}",
+            f"nodes: {len(result.nodes)}  arcs: {len(result.arc_ids)}",
         ],
     )
     return 0
@@ -175,7 +178,7 @@ def _cmd_glue_paths(args: argparse.Namespace) -> int:
         _surgery_payload(result, morphism),
         [
             f"glued paths {args.path1} and {args.path2}",
-            f"nodes: {len(result.nodes)}  arcs: {len(result.arcs)}",
+            f"nodes: {len(result.nodes)}  arcs: {len(result.arc_ids)}",
         ],
     )
     return 0
@@ -347,7 +350,7 @@ def _cmd_reflexive_strip(args: argparse.Namespace) -> int:
     _emit(
         args,
         {"graph": io.graph_to_dict(g)},
-        [f"nodes: {len(g.nodes)}  arcs: {len(g.arcs)}"],
+        [f"nodes: {len(g.nodes)}  arcs: {len(g.arc_ids)}"],
     )
     return 0
 
@@ -465,7 +468,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early, as `| head` does: drop the rest
+        # of the output, so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,15 +6,23 @@ lose the arc-level data that morphisms need).  Node and arc ids are opaque
 strings; iteration order is always insertion order, so identical inputs give
 identical outputs.  All types are immutable values, safe to share across
 threads; operations that change a graph return a new one.
+
+A graph stores its arcs as three string columns, ``arc_ids``, ``arc_srcs``
+and ``arc_tgts``: arc k is (arc_ids[k], arc_srcs[k], arc_tgts[k]).  ``g.arcs``
+builds a new tuple of ``Arc`` records from them on each access and keeps
+none, as do ``arc``, ``out_arcs`` and ``in_arcs``, so a graph holds no
+per-arc object for the cyclic garbage collector to walk.  Hot paths read the
+columns, and the lookup tables a graph builds on first use (``node_index``,
+``arc_index``, the per-node arc ids) hold only strings and ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import compress, repeat
+from operator import and_, itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DanglingEndpointError,
@@ -35,54 +43,54 @@ class Arc(NamedTuple):
 
 
 _arc_id, _arc_src, _arc_tgt = itemgetter(0), itemgetter(1), itemgetter(2)
+# Arc inputs whose columns itemgetter reads exactly as Arc(*a) would lay them out.
+_PLAIN_ARC_TYPES = {Arc, tuple, list}
 
 
-def arcs_from_columns(ids: Iterable[str], srcs: Iterable[str], tgts: Iterable[str]) -> list[Arc]:
-    """The arcs (ids[k], srcs[k], tgts[k]), built without a Python-level call per arc.
-
-    A list, which ``DirectedGraph`` turns into its tuple: a tuple grown from
-    an iterator is tracked anew by the cyclic collector at every resize, so
-    each young collection the new arcs trigger would walk all of it again.
-    """
-    return list(map(tuple.__new__, repeat(Arc), zip(ids, srcs, tgts)))
-
-
-def arc_ends(
-    arcs: Sequence[Arc], key: Callable[[str], int]
-) -> tuple[Iterator[int], Iterator[int]]:
-    """key(src) and key(tgt) of every arc, in arc order, as two lazy columns.
-
-    With a builtin key such as ``dict.__getitem__`` each column runs in C.
-    """
-    return map(key, map(_arc_src, arcs)), map(key, map(_arc_tgt, arcs))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class DirectedGraph:
-    """Finite directed multigraph with named nodes and arcs."""
+    """Finite directed multigraph with named nodes and arcs.
 
-    nodes: tuple[str, ...] = ()
-    arcs: tuple[Arc, ...] = ()
+    ``DirectedGraph(nodes, arcs)`` takes ``Arc`` values, (id, src, tgt)
+    triples or lists; ``graph_from_columns`` takes the three columns.  Both
+    validate alike and raise for the first faulty node or arc in input order.
+    """
 
-    def __post_init__(self) -> None:
-        nodes = tuple(self.nodes)
-        arcs = tuple(self.arcs)
-        if not set(map(type, arcs)) <= {Arc}:
-            arcs = tuple(a if isinstance(a, Arc) else Arc(*a) for a in arcs)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "arcs", arcs)
-        node_set = set(nodes)
-        if (
-            len(node_set) != len(nodes)
-            or len(set(map(_arc_id, arcs))) != len(arcs)
-            or not node_set.issuperset(map(_arc_src, arcs))
-            or not node_set.issuperset(map(_arc_tgt, arcs))
-        ):
-            _raise_first_fault(nodes, arcs)
+    nodes: tuple[str, ...]
+    arc_ids: tuple[str, ...]
+    arc_srcs: tuple[str, ...]
+    arc_tgts: tuple[str, ...]
+
+    def __init__(
+        self, nodes: Iterable[str] = (), arcs: Iterable[Arc | Sequence[str]] = ()
+    ) -> None:
+        arcs = tuple(arcs)
+        if not set(map(type, arcs)) <= _PLAIN_ARC_TYPES or not set(map(len, arcs)) <= {3}:
+            arcs = [a if isinstance(a, Arc) else Arc(*a) for a in arcs]
+        _fill(
+            self,
+            tuple(nodes),
+            tuple(map(_arc_id, arcs)),
+            tuple(map(_arc_src, arcs)),
+            tuple(map(_arc_tgt, arcs)),
+        )
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as ``Arc`` records, built anew on each access and not kept."""
+        # Filled as a list first: a tuple grown from an iterator is tracked
+        # anew by the cyclic collector at every resize, so each young
+        # collection the new arcs trigger would walk all of it again.
+        return tuple(
+            list(map(tuple.__new__, repeat(Arc), zip(self.arc_ids, self.arc_srcs, self.arc_tgts)))
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(nodes={self.nodes!r}, arcs={self.arcs!r})"
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.nodes, self.arcs))
+        return hash((self.nodes, self.arc_ids, self.arc_srcs, self.arc_tgts))
 
     def __hash__(self) -> int:
         # Hashed once per instance: scc_decompose's cache looks graphs up on
@@ -97,52 +105,81 @@ class DirectedGraph:
 
     @cached_property
     def node_index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
+        return dict(zip(self.nodes, range(len(self.nodes))))
 
     @cached_property
-    def arc_by_id(self) -> dict[str, Arc]:
-        return {a.id: a for a in self.arcs}
+    def arc_index(self) -> dict[str, int]:
+        """The position of every arc id in the columns."""
+        return dict(zip(self.arc_ids, range(len(self.arc_ids))))
 
     @cached_property
-    def _out(self) -> dict[str, tuple[Arc, ...]]:
-        out: dict[str, list[Arc]] = {n: [] for n in self.nodes}
-        for a in self.arcs:
-            out[a.src].append(a)
-        return {n: tuple(v) for n, v in out.items()}
+    def _out_ids(self) -> dict[str, tuple[str, ...]]:
+        return _ids_by_node(self.nodes, self.arc_srcs, self.arc_ids)
 
     @cached_property
-    def _in(self) -> dict[str, tuple[Arc, ...]]:
-        inc: dict[str, list[Arc]] = {n: [] for n in self.nodes}
-        for a in self.arcs:
-            inc[a.tgt].append(a)
-        return {n: tuple(v) for n, v in inc.items()}
+    def _in_ids(self) -> dict[str, tuple[str, ...]]:
+        return _ids_by_node(self.nodes, self.arc_tgts, self.arc_ids)
 
     def has_node(self, node: str) -> bool:
         return node in self.node_index
 
     def has_arc(self, arc_id: str) -> bool:
-        return arc_id in self.arc_by_id
+        return arc_id in self.arc_index
 
-    def arc(self, arc_id: str) -> Arc:
+    def arc_position(self, arc_id: str) -> int:
+        """The index of the arc in the columns."""
         try:
-            return self.arc_by_id[arc_id]
+            return self.arc_index[arc_id]
         except KeyError:
             raise UnknownArcError(f"unknown arc {arc_id!r}") from None
 
-    def out_arcs(self, node: str) -> tuple[Arc, ...]:
+    def arc(self, arc_id: str) -> Arc:
+        k = self.arc_position(arc_id)
+        return Arc(self.arc_ids[k], self.arc_srcs[k], self.arc_tgts[k])
+
+    def out_arc_ids(self, node: str) -> tuple[str, ...]:
         try:
-            return self._out[node]
+            return self._out_ids[node]
         except KeyError:
             raise UnknownNodeError(f"unknown node {node!r}") from None
+
+    def in_arc_ids(self, node: str) -> tuple[str, ...]:
+        try:
+            return self._in_ids[node]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {node!r}") from None
+
+    def out_arcs(self, node: str) -> tuple[Arc, ...]:
+        return tuple(map(self.arc, self.out_arc_ids(node)))
 
     def in_arcs(self, node: str) -> tuple[Arc, ...]:
-        try:
-            return self._in[node]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {node!r}") from None
+        return tuple(map(self.arc, self.in_arc_ids(node)))
 
 
-def _raise_first_fault(nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
+def _fill(
+    g: DirectedGraph,
+    nodes: tuple[str, ...],
+    ids: tuple[str, ...],
+    srcs: tuple[str, ...],
+    tgts: tuple[str, ...],
+) -> None:
+    """Set the fields of a new graph and validate them."""
+    # One dict update in place of four object.__setattr__ calls on the
+    # frozen instance: small graphs are built by the thousand.
+    vars(g).update(nodes=nodes, arc_ids=ids, arc_srcs=srcs, arc_tgts=tgts)
+    node_set = set(nodes)
+    if (
+        len(node_set) != len(nodes)
+        or len(set(ids)) != len(ids)
+        or not node_set.issuperset(srcs)
+        or not node_set.issuperset(tgts)
+    ):
+        _raise_first_fault(nodes, ids, srcs, tgts)
+
+
+def _raise_first_fault(
+    nodes: tuple[str, ...], ids: tuple[str, ...], srcs: tuple[str, ...], tgts: tuple[str, ...]
+) -> None:
     """Raise for the first duplicate node, then the first arc, in input order,
     that reuses an id or names an unknown endpoint."""
     node_set: set[str] = set()
@@ -151,26 +188,69 @@ def _raise_first_fault(nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> None:
             raise DuplicateIdError(f"duplicate node id {n!r}")
         node_set.add(n)
     arc_ids: set[str] = set()
-    for a in arcs:
-        if a.id in arc_ids:
-            raise DuplicateIdError(f"duplicate arc id {a.id!r}")
-        arc_ids.add(a.id)
-        if a.src not in node_set:
-            raise DanglingEndpointError(f"arc {a.id!r} has unknown source {a.src!r}")
-        if a.tgt not in node_set:
-            raise DanglingEndpointError(f"arc {a.id!r} has unknown target {a.tgt!r}")
+    for aid, src, tgt in zip(ids, srcs, tgts):
+        if aid in arc_ids:
+            raise DuplicateIdError(f"duplicate arc id {aid!r}")
+        arc_ids.add(aid)
+        if src not in node_set:
+            raise DanglingEndpointError(f"arc {aid!r} has unknown source {src!r}")
+        if tgt not in node_set:
+            raise DanglingEndpointError(f"arc {aid!r} has unknown target {tgt!r}")
+
+
+def _ids_by_node(
+    nodes: tuple[str, ...], ends: tuple[str, ...], ids: tuple[str, ...]
+) -> dict[str, tuple[str, ...]]:
+    """The ids of the arcs at each node, in arc order, keyed by ends[k]."""
+    buckets: dict[str, list[str]] = {n: [] for n in nodes}
+    for end, aid in zip(ends, ids):
+        buckets[end].append(aid)
+    return {n: tuple(v) for n, v in buckets.items()}
+
+
+def graph_from_columns(
+    nodes: Iterable[str],
+    arc_ids: Iterable[str],
+    arc_srcs: Iterable[str],
+    arc_tgts: Iterable[str],
+) -> DirectedGraph:
+    """The graph whose arc k is (arc_ids[k], arc_srcs[k], arc_tgts[k]).
+
+    Validated exactly as ``DirectedGraph(nodes, arcs)``, with no ``Arc`` made.
+    """
+    ids, srcs, tgts = tuple(arc_ids), tuple(arc_srcs), tuple(arc_tgts)
+    if not len(ids) == len(srcs) == len(tgts):
+        raise ValidationError(
+            f"arc columns differ in length ({len(ids)} ids, {len(srcs)} sources, "
+            f"{len(tgts)} targets)"
+        )
+    g = DirectedGraph.__new__(DirectedGraph)
+    _fill(g, tuple(nodes), ids, srcs, tgts)
+    return g
+
+
+def select_arcs(
+    g: DirectedGraph, keep: Iterable[object]
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The id, source and target columns of the arcs whose keep flag is true."""
+    keep = list(keep)
+    return (
+        tuple(compress(g.arc_ids, keep)),
+        tuple(compress(g.arc_srcs, keep)),
+        tuple(compress(g.arc_tgts, keep)),
+    )
 
 
 def build_graph(
     nodes: Iterable[str], arcs: Iterable[tuple[str, str, str] | Arc]
 ) -> DirectedGraph:
     """Build and validate a graph from node ids and (arc id, src, tgt) triples."""
-    return DirectedGraph(tuple(nodes), tuple(arcs))
+    return DirectedGraph(nodes, arcs)
 
 
 def degrees(g: DirectedGraph, node: str) -> tuple[int, int]:
     """Return (in_degree, out_degree); a self-loop adds 1 to each."""
-    return len(g.in_arcs(node)), len(g.out_arcs(node))
+    return len(g.in_arc_ids(node)), len(g.out_arc_ids(node))
 
 
 def standard_cycle(n: int) -> DirectedGraph:
@@ -183,8 +263,8 @@ def standard_cycle(n: int) -> DirectedGraph:
     if n == 0:
         return DirectedGraph(("x0",), ())
     nodes = tuple(f"x{i}" for i in range(n))
-    arcs = tuple(Arc(f"a{i}", nodes[i], nodes[(i + 1) % n]) for i in range(n))
-    return DirectedGraph(nodes, arcs)
+    ids = tuple(f"a{i}" for i in range(n))
+    return graph_from_columns(nodes, ids, nodes, nodes[1:] + nodes[:1])
 
 
 def standard_path(n: int) -> DirectedGraph:
@@ -192,8 +272,8 @@ def standard_path(n: int) -> DirectedGraph:
     if n < 1:
         raise ValidationError("path must have at least one node")
     nodes = tuple(f"x{i}" for i in range(n))
-    arcs = tuple(Arc(f"a{i}", nodes[i], nodes[i + 1]) for i in range(n - 1))
-    return DirectedGraph(nodes, arcs)
+    ids = tuple(f"a{i}" for i in range(n - 1))
+    return graph_from_columns(nodes, ids, nodes[:-1], nodes[1:])
 
 
 def induced_subgraph(g: DirectedGraph, node_subset: Iterable[str]) -> DirectedGraph:
@@ -202,20 +282,27 @@ def induced_subgraph(g: DirectedGraph, node_subset: Iterable[str]) -> DirectedGr
     for n in keep:
         if not g.has_node(n):
             raise UnknownNodeError(f"unknown node {n!r}")
-    nodes = tuple(n for n in g.nodes if n in keep)
-    arcs = tuple(a for a in g.arcs if a.src in keep and a.tgt in keep)
-    return DirectedGraph(nodes, arcs)
+    kept = keep.__contains__
+    nodes = tuple(filter(kept, g.nodes))
+    return graph_from_columns(
+        nodes, *select_arcs(g, map(and_, map(kept, g.arc_srcs), map(kept, g.arc_tgts)))
+    )
 
 
-def _chained_arcs(g: DirectedGraph, arc_ids: tuple[str, ...]) -> list[Arc]:
-    """The arcs named by arc_ids, each starting where the one before it ends."""
-    records = [g.arc(a) for a in arc_ids]
-    for prev, nxt in zip(records, records[1:]):
-        if prev.tgt != nxt.src:
+def _chain_positions(g: DirectedGraph, arc_ids: tuple[str, ...]) -> list[int]:
+    """The positions of the arcs named by arc_ids, each starting where the
+    one before it ends."""
+    try:
+        ks = list(map(g.arc_index.__getitem__, arc_ids))
+    except KeyError as exc:
+        raise UnknownArcError(f"unknown arc {exc.args[0]!r}") from None
+    ids, srcs, tgts = g.arc_ids, g.arc_srcs, g.arc_tgts
+    for p, q in zip(ks, ks[1:]):
+        if tgts[p] != srcs[q]:
             raise ValidationError(
-                f"arcs {prev.id!r} and {nxt.id!r} do not chain ({prev.tgt!r} != {nxt.src!r})"
+                f"arcs {ids[p]!r} and {ids[q]!r} do not chain ({tgts[p]!r} != {srcs[q]!r})"
             )
-    return records
+    return ks
 
 
 @dataclass(frozen=True)
@@ -233,9 +320,9 @@ class Walk:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         g = self.graph
-        records = _chained_arcs(g, self.arcs)
-        if records:
-            derived = records[0].src
+        ks = _chain_positions(g, self.arcs)
+        if ks:
+            derived = g.arc_srcs[ks[0]]
             if self.start is not None and self.start != derived:
                 raise ValidationError(
                     f"start {self.start!r} does not match first arc source {derived!r}"
@@ -253,16 +340,15 @@ class Walk:
     def end(self) -> str:
         if not self.arcs:
             return self.start  # type: ignore[return-value]
-        return self.graph.arc(self.arcs[-1]).tgt
+        g = self.graph
+        return g.arc_tgts[g.arc_index[self.arcs[-1]]]
 
     @cached_property
     def visits(self) -> tuple[str, ...]:
         """All visited nodes in order, length len(arcs) + 1."""
-        if not self.arcs:
-            return (self.start,)  # type: ignore[return-value]
-        seq = [self.graph.arc(self.arcs[0]).src]
-        seq.extend(self.graph.arc(a).tgt for a in self.arcs)
-        return tuple(seq)
+        g = self.graph
+        ends = map(g.arc_tgts.__getitem__, map(g.arc_index.__getitem__, self.arcs))
+        return (self.start, *ends)  # type: ignore[return-value]
 
     def is_simple(self) -> bool:
         """True when no node repeats (hence no arc repeats either)."""
@@ -286,14 +372,13 @@ class ClosedWalk:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         g = self.graph
-        records = _chained_arcs(g, self.arcs)
-        if records:
-            if records[-1].tgt != records[0].src:
+        ks = _chain_positions(g, self.arcs)
+        if ks:
+            derived, last = g.arc_srcs[ks[0]], g.arc_tgts[ks[-1]]
+            if last != derived:
                 raise ValidationError(
-                    f"walk does not close: last target {records[-1].tgt!r}, "
-                    f"first source {records[0].src!r}"
+                    f"walk does not close: last target {last!r}, first source {derived!r}"
                 )
-            derived = records[0].src
             if self.base is not None and self.base != derived:
                 raise ValidationError(
                     f"base {self.base!r} does not match first arc source {derived!r}"
@@ -312,7 +397,8 @@ class ClosedWalk:
         """Node at each position 0..n-1 (just the base for length 0)."""
         if not self.arcs:
             return (self.base,)  # type: ignore[return-value]
-        return tuple(self.graph.arc(a).src for a in self.arcs)
+        g = self.graph
+        return tuple(map(g.arc_srcs.__getitem__, map(g.arc_index.__getitem__, self.arcs)))
 
     def rotated(self, k: int) -> "ClosedWalk":
         """The same cyclic walk re-based at position k."""
@@ -357,18 +443,21 @@ class GraphMorphism:
         nodes in domain order, then the arcs in domain order."""
         out: list[str] = []
         nm, am = self.node_map, self.arc_map
-        node_index, arc_by_id = self.codomain.node_index, self.codomain.arc_by_id
-        for n in self.domain.nodes:
+        dom, cod = self.domain, self.codomain
+        node_index, arc_index = cod.node_index, cod.arc_index
+        cod_srcs, cod_tgts = cod.arc_srcs, cod.arc_tgts
+        for n in dom.nodes:
             img = nm.get(n)
             if img is None:
                 out.append(f"node {n!r} is not mapped")
             elif img not in node_index:
                 out.append(f"node {n!r} maps to unknown node {img!r}")
-        for aid, src, tgt in self.domain.arcs:
+        for aid, src, tgt in zip(dom.arc_ids, dom.arc_srcs, dom.arc_tgts):
             img = am.get(aid)
-            rec = arc_by_id.get(img)
-            if rec is None or rec.src != nm.get(src) or rec.tgt != nm.get(tgt):
-                out.extend(_arc_faults(aid, src, tgt, img, rec, nm))
+            k = arc_index.get(img)
+            if k is None or cod_srcs[k] != nm.get(src) or cod_tgts[k] != nm.get(tgt):
+                ends = None if k is None else (cod_srcs[k], cod_tgts[k])
+                out.extend(_arc_faults(aid, src, tgt, img, ends, nm))
         return out
 
     def is_valid(self) -> bool:
@@ -381,7 +470,7 @@ class GraphMorphism:
 
     @classmethod
     def identity(cls, g: DirectedGraph) -> "GraphMorphism":
-        return cls(g, g, {n: n for n in g.nodes}, {a.id: a.id for a in g.arcs})
+        return cls(g, g, dict(zip(g.nodes, g.nodes)), dict(zip(g.arc_ids, g.arc_ids)))
 
     def compose(self, inner: "GraphMorphism") -> "GraphMorphism":
         """self after inner (inner runs first)."""
@@ -410,23 +499,30 @@ class GraphMorphism:
 
 
 def _arc_faults(
-    aid: str, src: str, tgt: str, img: str | None, rec: Arc | None, nm: Mapping[str, str]
+    aid: str,
+    src: str,
+    tgt: str,
+    img: str | None,
+    ends: tuple[str, str] | None,
+    nm: Mapping[str, str],
 ) -> list[str]:
-    """The violations of one arc that fails the morphism check."""
+    """The violations of one arc that fails the morphism check; ends are the
+    source and target of its image arc, None when that arc is unknown."""
     if img is None:
         return [f"arc {aid!r} is not mapped"]
-    if rec is None:
+    if ends is None:
         return [f"arc {aid!r} maps to unknown arc {img!r}"]
+    img_src, img_tgt = ends
     out = []
-    if nm.get(src) != rec.src:
+    if nm.get(src) != img_src:
         out.append(
             f"arc {aid!r}: source {src!r} maps to {nm.get(src)!r} "
-            f"but image arc {img!r} starts at {rec.src!r}"
+            f"but image arc {img!r} starts at {img_src!r}"
         )
-    if nm.get(tgt) != rec.tgt:
+    if nm.get(tgt) != img_tgt:
         out.append(
             f"arc {aid!r}: target {tgt!r} maps to {nm.get(tgt)!r} "
-            f"but image arc {img!r} ends at {rec.tgt!r}"
+            f"but image arc {img!r} ends at {img_tgt!r}"
         )
     return out
 
@@ -475,8 +571,8 @@ def adjacency_matrix(g: DirectedGraph) -> AdjacencyMatrix:
     idx = g.node_index
     size = len(g.nodes)
     rows = [[0] * size for _ in range(size)]
-    for a in g.arcs:
-        rows[idx[a.src]][idx[a.tgt]] += 1
+    for src, tgt in zip(g.arc_srcs, g.arc_tgts):
+        rows[idx[src]][idx[tgt]] += 1
     return AdjacencyMatrix(size, tuple(tuple(r) for r in rows), dict(idx))
 
 

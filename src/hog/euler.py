@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import homotopy
-from .core import ClosedWalk, DirectedGraph, standard_cycle
+from .core import ClosedWalk, DirectedGraph, graph_from_columns, standard_cycle
 from .errors import NoArcsError, NotEulerianError, NotStronglyConnectedError
 from .scc import is_connected, is_strongly_connected
 
@@ -74,14 +74,16 @@ class AttachmentDecomposition:
             return False
         if {corr[n] for n in replayed.nodes} != set(g.nodes):
             return False
-        got = Counter((corr[a.src], corr[a.tgt]) for a in replayed.arcs)
-        want = Counter((a.src, a.tgt) for a in g.arcs)
-        return got == want
+        rename = corr.__getitem__
+        got = Counter(zip(map(rename, replayed.arc_srcs), map(rename, replayed.arc_tgts)))
+        return got == Counter(zip(g.arc_srcs, g.arc_tgts))
 
 
 def _drop_isolated(g: DirectedGraph) -> DirectedGraph:
-    touched = {a.src for a in g.arcs} | {a.tgt for a in g.arcs}
-    return DirectedGraph(tuple(n for n in g.nodes if n in touched), g.arcs)
+    touched = set(g.arc_srcs).union(g.arc_tgts)
+    return graph_from_columns(
+        filter(touched.__contains__, g.nodes), g.arc_ids, g.arc_srcs, g.arc_tgts
+    )
 
 
 def euler_check(g: DirectedGraph, ignore_isolated: bool = False) -> EulerReport:
@@ -92,12 +94,12 @@ def euler_check(g: DirectedGraph, ignore_isolated: bool = False) -> EulerReport:
     """
     if ignore_isolated:
         g = _drop_isolated(g)
-    if not g.arcs:
+    if not g.arc_ids:
         raise NoArcsError("graph has no arcs")
     violations = tuple(
-        (v, len(g.in_arcs(v)), len(g.out_arcs(v)))
+        (v, len(g.in_arc_ids(v)), len(g.out_arc_ids(v)))
         for v in g.nodes
-        if len(g.in_arcs(v)) != len(g.out_arcs(v))
+        if len(g.in_arc_ids(v)) != len(g.out_arc_ids(v))
     )
     connected = is_connected(g)
     return EulerReport(connected and not violations, connected, violations)
@@ -113,10 +115,10 @@ def _extract_cycles(g: DirectedGraph) -> list[ClosedWalk]:
     used as the smallest unused out-arc of their source, so each node keeps a
     cursor into its sorted out-arcs.
     """
-    out_ids = {v: sorted(a.id for a in g.out_arcs(v)) for v in g.nodes}
+    out_ids = {v: sorted(g.out_arc_ids(v)) for v in g.nodes}
     cursor = dict.fromkeys(g.nodes, 0)
-    tgt = {a.id: a.tgt for a in g.arcs}
-    src = {a.id: a.src for a in g.arcs}
+    tgt = dict(zip(g.arc_ids, g.arc_tgts))
+    src = dict(zip(g.arc_ids, g.arc_srcs))
     unused = set(tgt)
     visited: set[str] = set()
     candidates = [min(unused)]
@@ -182,7 +184,7 @@ def covering_cycle(g: DirectedGraph) -> ClosedWalk:
     base node to the arc's source, the arc, and a shortest path from its
     target back to the base.
     """
-    if not g.arcs:
+    if not g.arc_ids:
         raise NoArcsError("graph has no arcs")
     if not is_strongly_connected(g):
         raise NotStronglyConnectedError("covering cycle needs a strongly connected graph")
@@ -191,10 +193,10 @@ def covering_cycle(g: DirectedGraph) -> ClosedWalk:
     from_arc = _bfs_paths_from(g, base, forward=False)
     arcs: list[str] = []
     covered: set[str] = set()
-    for a in g.arcs:
-        if a.id in covered:
+    for aid, src, tgt in zip(g.arc_ids, g.arc_srcs, g.arc_tgts):
+        if aid in covered:
             continue
-        segment = to_arc[a.src] + (a.id,) + from_arc[a.tgt]
+        segment = to_arc[src] + (aid,) + from_arc[tgt]
         arcs.extend(segment)
         covered.update(segment)
     return ClosedWalk(g, tuple(arcs), base=base)
@@ -205,11 +207,11 @@ def _bfs_paths_from(
 ) -> dict[str, tuple[str, ...]]:
     """Shortest arc sequences root->v (forward) or v->root (backward)."""
     adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.nodes}
-    for a in g.arcs:
+    for aid, src, tgt in zip(g.arc_ids, g.arc_srcs, g.arc_tgts):
         if forward:
-            adj[a.src].append((a.tgt, a.id))
+            adj[src].append((tgt, aid))
         else:
-            adj[a.tgt].append((a.src, a.id))
+            adj[tgt].append((src, aid))
     paths: dict[str, tuple[str, ...]] = {root: ()}
     queue = [root]
     while queue:

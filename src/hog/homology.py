@@ -56,7 +56,7 @@ class ArcChain:
     coefficients: dict[str, int]
 
     def __post_init__(self) -> None:
-        clean = _nonzero_integers(self.coefficients, self.graph.arc)
+        clean = _nonzero_integers(self.coefficients, self.graph.arc_position)
         object.__setattr__(self, "coefficients", clean)
 
     @property
@@ -81,8 +81,8 @@ class NodeChain:
     coefficients: dict[str, int]
 
     def __post_init__(self) -> None:
-        # out_arcs raises UnknownNodeError for a node outside the graph
-        clean = _nonzero_integers(self.coefficients, self.graph.out_arcs)
+        # out_arc_ids raises UnknownNodeError for a node outside the graph
+        clean = _nonzero_integers(self.coefficients, self.graph.out_arc_ids)
         object.__setattr__(self, "coefficients", clean)
 
 
@@ -110,10 +110,11 @@ class CycleDecomposition:
 def boundary_1(u: ArcChain) -> NodeChain:
     """Linear extension of arc -> target - source (self-loops vanish)."""
     out: Counter = Counter()
+    g = u.graph
     for aid, c in u.coefficients.items():
-        a = u.graph.arc(aid)
-        out[a.tgt] += c
-        out[a.src] -= c
+        k = g.arc_index[aid]
+        out[g.arc_tgts[k]] += c
+        out[g.arc_srcs[k]] -= c
     return NodeChain(u.graph, dict(out))
 
 
@@ -124,7 +125,7 @@ def boundary_0(v: NodeChain) -> int:
 
 def fundamental_chain(g: DirectedGraph) -> ArcChain:
     """Coefficient 1 on every arc."""
-    return ArcChain(g, {a.id: 1 for a in g.arcs})
+    return ArcChain(g, dict.fromkeys(g.arc_ids, 1))
 
 
 def homology_summary(g: DirectedGraph) -> HomologySummary:
@@ -138,7 +139,7 @@ def homology_summary(g: DirectedGraph) -> HomologySummary:
     if not g.nodes:
         return HomologySummary(0, 0, (), 0)
     components = len(weak_components(g))
-    h1_rank = len(g.arcs) - len(g.nodes) + components
+    h1_rank = len(g.arc_ids) - len(g.nodes) + components
     basis = _forest_cycle_basis(g)
     if len(basis) != h1_rank:
         raise AssertionError("cycle basis size disagrees with kernel rank")
@@ -156,12 +157,12 @@ def _forest_cycle_basis(g: DirectedGraph) -> tuple[ArcChain, ...]:
     forest = _UnionFind(g.nodes)
     tree: dict[str, list[tuple[str, str, int]]] = {n: [] for n in g.nodes}
     chords = []
-    for a in g.arcs:
-        if forest.union(a.src, a.tgt):
-            tree[a.src].append((a.tgt, a.id, +1))
-            tree[a.tgt].append((a.src, a.id, -1))
+    for aid, src, tgt in zip(g.arc_ids, g.arc_srcs, g.arc_tgts):
+        if forest.union(src, tgt):
+            tree[src].append((tgt, aid, +1))
+            tree[tgt].append((src, aid, -1))
         else:
-            chords.append(a)
+            chords.append((aid, src, tgt))
 
     # up[v] = (parent node, tree arc, sign of the step from v to its parent)
     up: dict[str, tuple[str, str, int]] = {}
@@ -194,9 +195,9 @@ def _forest_cycle_basis(g: DirectedGraph) -> tuple[ArcChain, ...]:
         return head + tail
 
     basis = []
-    for a in chords:
-        coeffs = {a.id: 1}
-        coeffs.update(tree_path(a.tgt, a.src))
+    for aid, src, tgt in chords:
+        coeffs = {aid: 1}
+        coeffs.update(tree_path(tgt, src))
         basis.append(ArcChain(g, coeffs))
     return tuple(basis)
 
@@ -215,8 +216,10 @@ def decompose_positive_chain(u: ArcChain) -> CycleDecomposition:
         raise NonzeroBoundaryError("chain has nonzero boundary")
     g = u.graph
     residual = dict(u.coefficients)
-    arc_order = [a.id for a in g.arcs]
-    out_ids = {v: [a.id for a in g.out_arcs(v)] for v in g.nodes}
+    arc_order = g.arc_ids
+    src = dict(zip(g.arc_ids, g.arc_srcs))
+    tgt = dict(zip(g.arc_ids, g.arc_tgts))
+    out_ids = {v: g.out_arc_ids(v) for v in g.nodes}
     cycles: list[ClosedWalk] = []
     mults: list[int] = []
     scan = 0
@@ -224,7 +227,7 @@ def decompose_positive_chain(u: ArcChain) -> CycleDecomposition:
         while scan < len(arc_order) and residual.get(arc_order[scan], 0) <= 0:
             scan += 1
         start_arc = arc_order[scan]
-        start = g.arc(start_arc).src
+        start = src[start_arc]
         walk = []
         v = start
         aid: str | None = start_arc
@@ -233,7 +236,7 @@ def decompose_positive_chain(u: ArcChain) -> CycleDecomposition:
             residual[aid] -= 1
             if not residual[aid]:
                 del residual[aid]
-            v = g.arc(aid).tgt
+            v = tgt[aid]
             aid = next((b for b in out_ids[v] if residual.get(b, 0) > 0), None)
         if v != start:
             raise AssertionError("extraction stuck away from its start")
@@ -287,7 +290,7 @@ def euler_via_homology(g: DirectedGraph) -> EulerReport:
     splice into a single Eulerian cycle.  Independent of the degree-balance
     route in euler_check; the two must agree.
     """
-    if not g.arcs:
+    if not g.arc_ids:
         raise NoArcsError("graph has no arcs")
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
@@ -295,7 +298,7 @@ def euler_via_homology(g: DirectedGraph) -> EulerReport:
     b = boundary_1(chain).coefficients
     if b:
         violations = tuple(
-            (v, len(g.in_arcs(v)), len(g.out_arcs(v))) for v in g.nodes if v in b
+            (v, len(g.in_arc_ids(v)), len(g.out_arc_ids(v))) for v in g.nodes if v in b
         )
         return EulerReport(False, True, violations)
     dec = decompose_positive_chain(chain)
@@ -315,17 +318,17 @@ def _min_cost_duplicates(g: DirectedGraph) -> dict[str, int]:
     """
     idx = g.node_index
     n = len(g.nodes)
-    arcs = g.arcs
-    flow = [0] * len(arcs)
+    src_ix = list(map(idx.__getitem__, g.arc_srcs))
+    tgt_ix = list(map(idx.__getitem__, g.arc_tgts))
+    flow = [0] * len(src_ix)
     supply = [0] * n
-    for a in arcs:
-        supply[idx[a.tgt]] += 1
-        supply[idx[a.src]] -= 1
     out_pos: list[list[int]] = [[] for _ in range(n)]
     in_pos: list[list[int]] = [[] for _ in range(n)]
-    for pos, a in enumerate(arcs):
-        out_pos[idx[a.src]].append(pos)
-        in_pos[idx[a.tgt]].append(pos)
+    for pos, (s, t) in enumerate(zip(src_ix, tgt_ix)):
+        supply[t] += 1
+        supply[s] -= 1
+        out_pos[s].append(pos)
+        in_pos[t].append(pos)
     pot = [0] * n
     pot_t = 0
     remaining = sum(s for s in supply if s > 0)
@@ -342,7 +345,7 @@ def _min_cost_duplicates(g: DirectedGraph) -> dict[str, int]:
             if dist[v] != d:
                 continue
             for pos in out_pos[v]:
-                w = idx[arcs[pos].tgt]
+                w = tgt_ix[pos]
                 nd = d + 1 + pot[v] - pot[w]
                 if dist[w] is None or nd < dist[w]:
                     dist[w] = nd
@@ -350,7 +353,7 @@ def _min_cost_duplicates(g: DirectedGraph) -> dict[str, int]:
                     heapq.heappush(heap, (nd, w))
             for pos in in_pos[v]:
                 if flow[pos] > 0:
-                    w = idx[arcs[pos].src]
+                    w = src_ix[pos]
                     nd = d - 1 + pot[v] - pot[w]
                     if dist[w] is None or nd < dist[w]:
                         dist[w] = nd
@@ -381,7 +384,7 @@ def _min_cost_duplicates(g: DirectedGraph) -> dict[str, int]:
             if dist[v] is not None:
                 pot[v] += dist[v]
         pot_t += d_t
-    return {arcs[pos].id: f for pos, f in enumerate(flow) if f}
+    return {aid: f for aid, f in zip(g.arc_ids, flow) if f}
 
 
 def minimal_covering_walk(g: DirectedGraph) -> tuple[ClosedWalk, int]:
@@ -391,12 +394,12 @@ def minimal_covering_walk(g: DirectedGraph) -> tuple[ClosedWalk, int]:
     chain found by min-cost flow, then realizes it by cycle decomposition and
     splicing.  On an Eulerian input the length equals the arc count.
     """
-    if not g.arcs:
+    if not g.arc_ids:
         raise NoArcsError("graph has no arcs")
     if not is_strongly_connected(g):
         raise NotStronglyConnectedError("postman tour needs a strongly connected graph")
     extra = _min_cost_duplicates(g)
-    total = Counter({a.id: 1 for a in g.arcs})
+    total = Counter(dict.fromkeys(g.arc_ids, 1))
     total.update(extra)
     chain = ArcChain(g, dict(total))
     dec = decompose_positive_chain(chain)
@@ -417,7 +420,7 @@ def positive_kernel_vectors(
     """
     if max_coeff < 0:
         raise ValidationError("max_coeff must be >= 0")
-    arcs = [a.id for a in g.arcs]
+    arcs = g.arc_ids
     grid = (max_coeff + 1) ** len(arcs)
     if grid > cap:
         raise CapExceededError(f"{grid} coefficient vectors exceed the cap of {cap}")

@@ -22,10 +22,16 @@ in the decomposition cache builds no per-graph set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from operator import eq
 
-from .core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, Walk, _arc_id, arc_ends
+from .core import (
+    ClosedWalk,
+    DirectedGraph,
+    GraphMorphism,
+    Walk,
+    graph_from_columns,
+    select_arcs,
+)
 from .errors import (
     CapExceededError,
     EndpointMismatchError,
@@ -95,8 +101,8 @@ def _closed_walk_arc_tuples(
     The depth-first search keeps one out-arc iterator per step on an explicit
     stack, so no recursion depth grows with n.
     """
-    out_ids = {v: tuple(a.id for a in g.out_arcs(v)) for v in g.nodes}
-    tgt = {a.id: a.tgt for a in g.arcs}
+    out_ids = {v: g.out_arc_ids(v) for v in g.nodes}
+    tgt = dict(zip(g.arc_ids, g.arc_tgts))
     results: list[tuple[str, ...]] = []
     acc: list[str] = []
     for start in g.nodes:
@@ -266,9 +272,10 @@ def cofibrant_replacement(g: DirectedGraph) -> tuple[DirectedGraph, GraphMorphis
     the construction is idempotent.
     """
     at = scc_decompose(g).component_of.__getitem__
-    kept = tuple(compress(g.arcs, map(eq, *arc_ends(g.arcs, at))))
-    core = DirectedGraph(g.nodes, kept)
-    ids = tuple(map(_arc_id, kept))
+    core = graph_from_columns(
+        g.nodes, *select_arcs(g, map(eq, map(at, g.arc_srcs), map(at, g.arc_tgts)))
+    )
+    ids = core.arc_ids
     embedding = GraphMorphism(core, g, dict(zip(core.nodes, core.nodes)), dict(zip(ids, ids)))
     return core, embedding
 
@@ -283,19 +290,13 @@ def _quotient(
     node_rep must be total and idempotent; arc_rep maps dropped arcs to their
     surviving representative.
     """
-    new_nodes: list[str] = []
-    seen: set[str] = set()
-    for n in g.nodes:
-        r = node_rep[n]
-        if r not in seen:
-            seen.add(r)
-            new_nodes.append(r)
-    new_arcs: list[Arc] = []
-    for a in g.arcs:
-        if arc_rep is not None and arc_rep.get(a.id, a.id) != a.id:
-            continue
-        new_arcs.append(Arc(a.id, node_rep[a.src], node_rep[a.tgt]))
-    return DirectedGraph(tuple(new_nodes), tuple(new_arcs))
+    rep = node_rep.__getitem__
+    ids, srcs, tgts = g.arc_ids, g.arc_srcs, g.arc_tgts
+    if arc_rep is not None:
+        ids, srcs, tgts = select_arcs(g, (arc_rep.get(a, a) == a for a in ids))
+    return graph_from_columns(
+        dict.fromkeys(map(rep, g.nodes)), ids, map(rep, srcs), map(rep, tgts)
+    )
 
 
 def glue_nodes(
@@ -314,7 +315,7 @@ def glue_nodes(
     merged = min(x, y)
     node_rep = {n: merged if n in (x, y) else n for n in g.nodes}
     quotient = _quotient(g, node_rep)
-    morphism = GraphMorphism(g, quotient, node_rep, {a.id: a.id for a in g.arcs})
+    morphism = GraphMorphism(g, quotient, node_rep, dict(zip(g.arc_ids, g.arc_ids)))
     return quotient, morphism
 
 
@@ -332,7 +333,7 @@ def attach_cycle(
         raise UnknownNodeError(f"unknown node {x!r}")
     if m < 1:
         raise ValidationError("attached cycle length must be >= 1")
-    taken = set(g.nodes) | {a.id for a in g.arcs}
+    taken = set(g.nodes).union(g.arc_ids)
     k = 0
     while True:
         fresh_nodes = [f"{x}_c{k}_{i}" for i in range(m)]
@@ -340,17 +341,15 @@ def attach_cycle(
         if taken.isdisjoint(fresh_nodes) and taken.isdisjoint(fresh_arcs):
             break
         k += 1
-    union = DirectedGraph(
+    union = graph_from_columns(
         g.nodes + tuple(fresh_nodes),
-        g.arcs
-        + tuple(
-            Arc(fresh_arcs[i], fresh_nodes[i], fresh_nodes[(i + 1) % m])
-            for i in range(m)
-        ),
+        g.arc_ids + tuple(fresh_arcs),
+        g.arc_srcs + tuple(fresh_nodes),
+        g.arc_tgts + tuple(fresh_nodes[1:] + fresh_nodes[:1]),
     )
     result, _ = glue_nodes(union, x, fresh_nodes[0])
     embedding = GraphMorphism(
-        g, result, {n: n for n in g.nodes}, {a.id: a.id for a in g.arcs}
+        g, result, dict(zip(g.nodes, g.nodes)), dict(zip(g.arc_ids, g.arc_ids))
     )
     return result, embedding
 
@@ -392,6 +391,6 @@ def glue_paths(
         arc_rep[drop] = keep
     quotient = _quotient(g, node_rep, arc_rep)
     morphism = GraphMorphism(
-        g, quotient, node_rep, {a.id: arc_rep.get(a.id, a.id) for a in g.arcs}
+        g, quotient, node_rep, {a: arc_rep.get(a, a) for a in g.arc_ids}
     )
     return quotient, morphism

@@ -19,16 +19,21 @@ import sys
 from itertools import chain
 from typing import Any
 
-from .core import DirectedGraph, GraphMorphism, arcs_from_columns, build_graph
+from .core import DirectedGraph, GraphMorphism, build_graph, graph_from_columns
 from .errors import CoefficientError, ParseError
 from .homology import ArcChain
 from .reflexive import ReflexiveGraph, ReflexiveMorphism
 
 
 def graph_to_dict(g: DirectedGraph | ReflexiveGraph) -> dict[str, Any]:
+    if isinstance(g, ReflexiveGraph):
+        g = g.graph
     return {
         "nodes": list(g.nodes),
-        "arcs": [{"id": a.id, "src": a.src, "tgt": a.tgt} for a in g.arcs],
+        "arcs": [
+            {"id": aid, "src": src, "tgt": tgt}
+            for aid, src, tgt in zip(g.arc_ids, g.arc_srcs, g.arc_tgts)
+        ],
     }
 
 
@@ -136,17 +141,20 @@ def parse_edgelist(text: str) -> DirectedGraph:
         add_src(src)
         add_tgt(tgt)
     nodes = dict.fromkeys(chain.from_iterable(zip(srcs, tgts)))
-    return DirectedGraph(tuple(nodes), arcs_from_columns(ids, srcs, tgts))
+    return graph_from_columns(nodes, ids, srcs, tgts)
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from None
+        if path == "-":
+            return sys.stdin.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return handle.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def load_json(path: str) -> Any:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import DirectedGraph, arc_ends
+from .core import DirectedGraph
 from .errors import EmptyGraphError, NoConvergenceError, ValidationError
 from .scc import scc_decompose
 
@@ -56,8 +56,8 @@ def markov_from_graph(g: DirectedGraph) -> MarkovMatrix:
     n = len(g.nodes)
     idx = g.node_index
     counts = np.zeros((n, n), dtype=np.float64)
-    for a in g.arcs:
-        counts[idx[a.tgt], idx[a.src]] += 1.0
+    for src, tgt in zip(g.arc_srcs, g.arc_tgts):
+        counts[idx[tgt], idx[src]] += 1.0
     sums = counts.sum(axis=0)
     entries = np.empty_like(counts)
     for j in range(n):
@@ -90,10 +90,10 @@ def pagerank(
         raise EmptyGraphError("cannot normalize an empty graph")
     import numpy as np
 
-    n, m = len(g.nodes), len(g.arcs)
+    n, m = len(g.nodes), len(g.arc_ids)
+    at = g.node_index.__getitem__
     src, tgt = (
-        np.fromiter(col, dtype=np.intp, count=m)
-        for col in arc_ends(g.arcs, g.node_index.__getitem__)
+        np.fromiter(map(at, ends), dtype=np.intp, count=m) for ends in (g.arc_srcs, g.arc_tgts)
     )
     outdeg = np.bincount(src, minlength=n)
     dangling = np.flatnonzero(outdeg == 0)

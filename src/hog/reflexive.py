@@ -12,10 +12,11 @@ weak-equivalence verdict is the ordinary one on the underlying graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import not_
 from typing import Mapping
 
 from . import homotopy
-from .core import Arc, ClosedWalk, DirectedGraph, GraphMorphism
+from .core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, graph_from_columns, select_arcs
 from .errors import InvalidMorphismError, ValidationError
 from .homotopy import HomSet, WeakEquivalenceVerdict
 from .scc import scc_decompose
@@ -44,8 +45,8 @@ class ReflexiveGraph:
             loop = self.degeneracy.get(n)
             if loop is None:
                 raise ValidationError(f"node {n!r} has no degenerate loop")
-            rec = g.arc(loop)
-            if rec.src != n or rec.tgt != n:
+            k = g.arc_position(loop)
+            if g.arc_srcs[k] != n or g.arc_tgts[k] != n:
                 raise ValidationError(
                     f"degenerate arc {loop!r} of node {n!r} is not a self-loop at it"
                 )
@@ -111,16 +112,16 @@ class ReflexiveMorphism:
 
 def add_degeneracies(g: DirectedGraph) -> ReflexiveGraph:
     """Freely add one marked self-loop per node (ids loop_<node>)."""
-    taken = {a.id for a in g.arcs}
+    taken = set(g.arc_ids)
     degeneracy: dict[str, str] = {}
-    loops: list[Arc] = []
+    loops: list[tuple[str, str, str]] = []
     for n in g.nodes:
         loop_id = f"loop_{n}"
         while loop_id in taken:
             loop_id = "_" + loop_id
         taken.add(loop_id)
         degeneracy[n] = loop_id
-        loops.append(Arc(loop_id, n, n))
+        loops.append((loop_id, n, n))
     return ReflexiveGraph(g.nodes, g.arcs + tuple(loops), degeneracy)
 
 
@@ -131,8 +132,10 @@ def forget_reflexive(g: ReflexiveGraph) -> DirectedGraph:
 
 def strip_degeneracies(g: ReflexiveGraph) -> DirectedGraph:
     """Drop exactly the marked loops."""
-    marked = g.degenerate_arc_ids
-    return DirectedGraph(g.nodes, tuple(a for a in g.arcs if a.id not in marked))
+    marked, base = g.degenerate_arc_ids, g.graph
+    return graph_from_columns(
+        base.nodes, *select_arcs(base, map(not_, map(marked.__contains__, base.arc_ids)))
+    )
 
 
 def is_degenerate_cycle(g: ReflexiveGraph, walk: ClosedWalk) -> bool:

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, count
+from itertools import compress
 from operator import eq, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
-from .core import Arc, DirectedGraph, arc_ends, arcs_from_columns, induced_subgraph
+from .core import Arc, DirectedGraph, graph_from_columns, induced_subgraph
 from .errors import EmptyGraphError
 
 
@@ -50,19 +50,19 @@ class SccDecomposition:
     @cached_property
     def component_arcs(self) -> tuple[tuple[Arc, ...], ...]:
         """Arcs lying inside each component, in graph order."""
-        buckets: list[list[Arc]] = [[] for _ in self.components]
-        comp = self.component_of
-        for a in self.graph.arcs:
-            ci = comp[a.src]
-            if ci == comp[a.tgt]:
-                buckets[ci].append(a)
-        return tuple(tuple(b) for b in buckets)
+        arc = self.graph.arc
+        return tuple(tuple(map(arc, ids)) for ids in self.table.arc_ids)
 
     @cached_property
     def table(self) -> ComponentTable:
         """Built on first use and kept with the decomposition, so every
         verdict on a cached graph reads it instead of rebuilding sets."""
-        arc_ids = tuple(tuple(a.id for a in arcs) for arcs in self.component_arcs)
+        g, comp = self.graph, self.component_of.__getitem__
+        buckets: list[list[str]] = [[] for _ in self.components]
+        for aid, ci, cj in zip(g.arc_ids, map(comp, g.arc_srcs), map(comp, g.arc_tgts)):
+            if ci == cj:
+                buckets[ci].append(aid)
+        arc_ids = tuple(map(tuple, buckets))
         return ComponentTable(
             tuple(map(frozenset, self.components)),
             arc_ids,
@@ -89,7 +89,8 @@ def scc_decompose(g: DirectedGraph) -> SccDecomposition:
     """
     nodes = g.nodes
     n = len(nodes)
-    src_ix, tgt_ix = map(list, arc_ends(g.arcs, g.node_index.__getitem__))
+    at = g.node_index.__getitem__
+    src_ix, tgt_ix = list(map(at, g.arc_srcs)), list(map(at, g.arc_tgts))
     # One insertion-ordered dict per node drops parallel arcs in O(1) each.
     succ_seen: list[dict[int, None]] = [{} for _ in range(n)]
     for v, w in zip(src_ix, tgt_ix):
@@ -153,12 +154,12 @@ def scc_decompose(g: DirectedGraph) -> SccDecomposition:
     pairs = dict.fromkeys(compress(zip(cs, ct), map(ne, cs, ct)))
     names = tuple(map(str, range(len(components))))
     name = names.__getitem__
-    cond_arcs = arcs_from_columns(
-        map("e{}".format, count()),
+    condensation = graph_from_columns(
+        names,
+        map("e{}".format, range(len(pairs))),
         map(name, map(itemgetter(0), pairs)),
         map(name, map(itemgetter(1), pairs)),
     )
-    condensation = DirectedGraph(names, cond_arcs)
     return SccDecomposition(g, ordered, component_of, condensation)
 
 
@@ -201,8 +202,8 @@ class _UnionFind:
 def weak_components(g: DirectedGraph) -> tuple[tuple[str, ...], ...]:
     """Partition of the nodes ignoring arc direction, in first-node order."""
     sets = _UnionFind(g.nodes)
-    for a in g.arcs:
-        sets.union(a.src, a.tgt)
+    for src, tgt in zip(g.arc_srcs, g.arc_tgts):
+        sets.union(src, tgt)
     buckets: dict[str, list[str]] = {}
     for node in g.nodes:
         buckets.setdefault(sets.find(node), []).append(node)
@@ -218,4 +219,5 @@ def is_connected(g: DirectedGraph) -> bool:
 
 def is_acyclic(g: DirectedGraph) -> bool:
     """True iff there is no closed walk of positive length."""
-    return not any(map(eq, *arc_ends(g.arcs, scc_decompose(g).component_of.__getitem__)))
+    at = scc_decompose(g).component_of.__getitem__
+    return not any(map(eq, map(at, g.arc_srcs), map(at, g.arc_tgts)))

@@ -112,7 +112,7 @@ def _first_nonbijective(sigma, nx, ny, tx_vec, ty_vec, dom_tuples, xg, arc_map):
             if tuples is None:
                 tuples = _closed_walk_arc_tuples(xg, n, None)
                 dom_tuples[n] = tuples
-            images = {tuple(arc_map[a] for a in t) for t in tuples}
+            images = {tuple(map(arc_map.__getitem__, t)) for t in tuples}
             if len(images) != tx:
                 return n
     return None

@@ -81,6 +81,18 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"x y\ncaf\xe9 x\n")
+    code, out, err = run(capsys, "scc", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9 "
+        "in position 7: invalid continuation byte)\n"
+    )
+
+
 def test_cofibrant_json_pipes_into_scc(capsys, monkeypatch, c3_file):
     code, out, _ = run(capsys, "cofibrant", c3_file, "--json")
     assert code == 0
@@ -420,3 +432,23 @@ def test_only_pagerank_imports_numpy(tmp_path):
     loaded = json.loads(proc.stdout)
     assert loaded.pop("pagerank c3.json") is True
     assert not any(loaded.values()), loaded
+
+
+def test_reader_closing_the_pipe_early_ends_without_a_traceback(tmp_path):
+    """``hog scc --json big.txt | head -2``: the output outgrows the pipe, so
+    the write after the reader has gone fails; hog exits 1 and prints nothing
+    to stderr."""
+    (tmp_path / "path.txt").write_text("".join(f"v{i} v{i + 1}\n" for i in range(20_000)))
+    src = os.path.dirname(os.path.dirname(hog.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hog.cli", "scc", "--json", "path.txt"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head == [b"{\n", b'  "components": [\n']
+    assert err == ""

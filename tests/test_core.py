@@ -17,6 +17,7 @@ from hog.core import (
     adjacency_matrix,
     build_graph,
     degrees,
+    graph_from_columns,
     standard_cycle,
     standard_path,
     trace_of_power,
@@ -24,6 +25,7 @@ from hog.core import (
 from hog.errors import (
     DanglingEndpointError,
     DuplicateIdError,
+    UnknownArcError,
     UnknownNodeError,
     ValidationError,
 )
@@ -103,20 +105,62 @@ def _direct(nodes, arcs):
     return DirectedGraph(tuple(nodes), tuple(Arc(*a) for a in arcs))
 
 
+def _lists(nodes, arcs):
+    return DirectedGraph(nodes, [list(a) for a in arcs])
+
+
+def _columns(nodes, arcs):
+    return graph_from_columns(nodes, *(zip(*arcs) if arcs else ((), (), ())))
+
+
+CONSTRUCTIONS = {
+    "build_graph": build_graph,
+    "DirectedGraph": _direct,
+    "lists": _lists,
+    "columns": _columns,
+}
+
+
 @pytest.mark.parametrize("nodes, arcs, error, message", CONSTRUCTION_FAULTS)
-@pytest.mark.parametrize("construct", [build_graph, _direct], ids=["build_graph", "DirectedGraph"])
+@pytest.mark.parametrize("construct", list(CONSTRUCTIONS.values()), ids=list(CONSTRUCTIONS))
 def test_construction_names_the_first_offender(construct, nodes, arcs, error, message):
     with pytest.raises(error) as exc:
         construct(nodes, arcs)
     assert str(exc.value) == message
 
 
-def test_directed_graph_wraps_plain_triples_once():
+def test_arcs_are_rebuilt_as_plain_arcs_on_each_access():
+    """A graph keeps its arcs as three string columns, so ``arcs`` returns
+    equal values of exact type Arc, in a new tuple on every access."""
     arc = Arc("a", "x", "y")
     g = DirectedGraph(("x", "y"), (arc, ("b", "y", "x")))
     assert g.arcs == (Arc("a", "x", "y"), Arc("b", "y", "x"))
-    assert g.arcs[0] is arc
     assert all(type(a) is Arc for a in g.arcs)
+    assert g.arcs is not g.arcs and g.arcs[0] is not arc
+    assert (g.arc_ids, g.arc_srcs, g.arc_tgts) == (("a", "b"), ("x", "y"), ("y", "x"))
+
+
+def test_every_construction_route_gives_equal_graphs():
+    triples = [("a", "x", "y"), ("b", "y", "x"), ("c", "x", "x")]
+    built = [construct(["x", "y"], triples) for construct in CONSTRUCTIONS.values()]
+    assert all(g == built[0] and hash(g) == hash(built[0]) for g in built)
+    assert DirectedGraph(["x", "y"], triples) != DirectedGraph(["y", "x"], triples)
+    assert DirectedGraph(["x", "y"], triples) != DirectedGraph(["x", "y"], triples[::-1])
+
+
+def test_graph_repr_lists_the_arcs_as_arc_values():
+    g = build_graph(["x", "y"], [("a", "x", "y"), ("l", "y", "y")])
+    assert repr(g) == (
+        "DirectedGraph(nodes=('x', 'y'), arcs=(Arc(id='a', src='x', tgt='y'), "
+        "Arc(id='l', src='y', tgt='y')))"
+    )
+    assert repr(DirectedGraph()) == "DirectedGraph(nodes=(), arcs=())"
+
+
+def test_arc_columns_must_have_one_length():
+    with pytest.raises(ValidationError) as exc:
+        graph_from_columns(["x"], ["a", "b"], ["x"], ["x", "x"])
+    assert str(exc.value) == "arc columns differ in length (2 ids, 1 sources, 2 targets)"
 
 
 def test_standard_cycle_shapes():
@@ -149,6 +193,21 @@ def test_degrees():
     assert degrees(p2, "x0") == (0, 1)
     with pytest.raises(UnknownNodeError):
         degrees(p2, "zz")
+
+
+def test_arc_lookups_read_the_columns():
+    g = build_graph(["x", "y"], [("a", "x", "y"), ("l", "y", "y"), ("b", "y", "x")])
+    assert g.arc_position("b") == 2 and g.arc("b") == Arc("b", "y", "x")
+    assert g.out_arc_ids("y") == ("l", "b") and g.in_arc_ids("y") == ("a", "l")
+    assert g.out_arcs("y") == (Arc("l", "y", "y"), Arc("b", "y", "x"))
+    assert g.in_arcs("x") == (Arc("b", "y", "x"),)
+    for lookup in (g.arc_position, g.arc):
+        with pytest.raises(UnknownArcError) as exc:
+            lookup("zz")
+        assert str(exc.value) == "unknown arc 'zz'"
+    for lookup in (g.out_arc_ids, g.in_arc_ids, g.out_arcs, g.in_arcs):
+        with pytest.raises(UnknownNodeError):
+            lookup("zz")
 
 
 def test_adjacency_matrix():

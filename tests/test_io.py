@@ -1,8 +1,14 @@
+import gc
+import random
+
 import pytest
 
-from hog.core import Arc, standard_cycle
+from hog.core import Arc, DirectedGraph, standard_cycle
 from hog.errors import DuplicateIdError, ParseError
+from hog.homotopy import cofibrant_replacement
 from hog.io import chain_from_dict, parse_edgelist
+from hog.pagerank import connectivity_report, pagerank
+from hog.scc import scc_decompose
 
 
 def test_edgelist_skips_blank_and_comment_only_lines():
@@ -60,3 +66,42 @@ def test_chain_rejects_bool_coefficients(coefficients, bad):
     with pytest.raises(ParseError) as exc:
         chain_from_dict({"coefficients": coefficients}, standard_cycle(2))
     assert str(exc.value) == f"coefficient of {bad!r} is not an integer"
+
+
+def test_parsed_graph_equals_and_hashes_like_a_built_one():
+    parsed = parse_edgelist("x y a\ny z\nz x b\nx x\n")
+    triples = [("a", "x", "y"), ("e1", "y", "z"), ("b", "z", "x"), ("e3", "x", "x")]
+    built = DirectedGraph(["x", "y", "z"], [Arc(*t) for t in triples])
+    assert parsed == built and hash(parsed) == hash(built)
+    assert repr(parsed) == repr(built)
+
+
+def _arc_instances(*roots):
+    """Every Arc reachable from the roots through containers and graphs."""
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Arc):
+            found.append(obj)
+        if isinstance(obj, (dict, tuple, list, set, frozenset)) or hasattr(obj, "__dict__"):
+            stack.extend(r for r in gc.get_referents(obj) if not isinstance(r, type))
+    return found
+
+
+def test_a_parsed_graph_holds_no_arc_records():
+    """The arcs live in three string columns: parsing, counting the arcs and
+    the web-rank analyses leave no Arc in the graph or its decomposition."""
+    rng = random.Random(7)
+    text = "".join(f"v{rng.randrange(500)} v{rng.randrange(500)}\n" for _ in range(10_000))
+    g = parse_edgelist(text)
+    assert _arc_instances(g) == []
+    assert len(g.arcs) == 10_000
+    assert _arc_instances(g) == []
+    dec = scc_decompose(g)
+    core, embedding = cofibrant_replacement(g)
+    connectivity_report(g)
+    pagerank(g)
+    assert _arc_instances(g, dec, core, embedding) == []
