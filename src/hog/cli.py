@@ -9,6 +9,10 @@ with exit code 1.  ``--json`` switches to machine-readable output with stable
 key order; identical inputs always produce byte-identical output.  The
 environment variable HOG_HOM_CAP overrides the walk-enumeration cap (default
 10^6).
+
+A subcommand imports only the modules it runs: each handler imports its
+library modules in its own body, so ``hog scc`` never loads homology,
+reflexive graphs or numpy.
 """
 
 from __future__ import annotations
@@ -17,19 +21,19 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import euler as euler_mod
-from . import homology as homology_mod
-from . import homotopy, io
-from . import reflexive as reflexive_mod
-from .core import Walk
+from . import io
+from .core import Walk, trace_of_power
 from .errors import DomainError, HogError, InputError, ParseError, ValidationError
-from .pagerank import connectivity_report, pagerank
-from .scc import scc_decompose
+
+if TYPE_CHECKING:
+    from .homotopy import WeakEquivalenceVerdict
 
 
 def _hom_cap() -> int:
+    from . import homotopy
+
     raw = os.environ.get("HOG_HOM_CAP")
     if raw is None:
         return homotopy.DEFAULT_HOM_CAP
@@ -53,6 +57,8 @@ def _walk_lines(label: str, arcs: tuple[str, ...], base: str) -> list[str]:
 
 
 def _cmd_scc(args: argparse.Namespace) -> int:
+    from .scc import scc_decompose
+
     g = io.load_graph(args.graph, args.format)
     dec = scc_decompose(g)
     payload = {
@@ -70,7 +76,7 @@ def _cmd_scc(args: argparse.Namespace) -> int:
 
 
 def _verdict_output(
-    verdict: homotopy.WeakEquivalenceVerdict, mode: str | None = None
+    verdict: WeakEquivalenceVerdict, mode: str | None = None
 ) -> tuple[dict[str, Any], list[str]]:
     """Payload and text lines of a weak-equivalence verdict; mode, when
     given, is the payload's second key."""
@@ -88,6 +94,8 @@ def _verdict_output(
 
 
 def _cmd_weq(args: argparse.Namespace) -> int:
+    from . import homotopy
+
     dom = io.load_graph(args.domain, "auto")
     cod = io.load_graph(args.codomain, "auto")
     f = io.load_morphism(args.morphism, dom, cod)
@@ -121,6 +129,8 @@ def _cmd_weq(args: argparse.Namespace) -> int:
 
 
 def _cmd_cofibrant(args: argparse.Namespace) -> int:
+    from . import homotopy
+
     g = io.load_graph(args.graph, args.format)
     core, embedding = homotopy.cofibrant_replacement(g)
     payload = {
@@ -141,6 +151,8 @@ def _surgery_payload(result, morphism) -> dict[str, Any]:
 
 
 def _cmd_glue_nodes(args: argparse.Namespace) -> int:
+    from . import homotopy
+
     g = io.load_graph(args.graph, args.format)
     result, morphism = homotopy.glue_nodes(g, args.x, args.y)
     _emit(
@@ -155,6 +167,8 @@ def _cmd_glue_nodes(args: argparse.Namespace) -> int:
 
 
 def _cmd_attach_cycle(args: argparse.Namespace) -> int:
+    from . import homotopy
+
     g = io.load_graph(args.graph, args.format)
     result, morphism = homotopy.attach_cycle(g, args.node, args.length)
     _emit(
@@ -169,6 +183,8 @@ def _cmd_attach_cycle(args: argparse.Namespace) -> int:
 
 
 def _cmd_glue_paths(args: argparse.Namespace) -> int:
+    from . import homotopy
+
     g = io.load_graph(args.graph, args.format)
     p1 = Walk(g, tuple(args.path1.split(",")))
     p2 = Walk(g, tuple(args.path2.split(",")))
@@ -185,8 +201,10 @@ def _cmd_glue_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_euler(args: argparse.Namespace) -> int:
+    from . import euler
+
     g = io.load_graph(args.graph, args.format)
-    report = euler_mod.euler_check(g, ignore_isolated=args.ignore_isolated)
+    report = euler.euler_check(g, ignore_isolated=args.ignore_isolated)
     payload: dict[str, Any] = {
         "eulerian": report.is_eulerian,
         "connected": report.connected,
@@ -200,16 +218,16 @@ def _cmd_euler(args: argparse.Namespace) -> int:
         f"unbalanced: {v} in={i} out={o}" for v, i, o in report.balance_violations
     )
     if args.construct:
-        cycle = euler_mod.euler_cycle(g, ignore_isolated=args.ignore_isolated)
+        cycle = euler.euler_cycle(g, ignore_isolated=args.ignore_isolated)
         payload["cycle"] = {"base": cycle.base, "arcs": list(cycle.arcs)}
         lines.extend(_walk_lines("cycle", cycle.arcs, cycle.base))
     if args.decompose:
-        dec = euler_mod.euler_decompose(g, ignore_isolated=args.ignore_isolated)
+        dec = euler.euler_decompose(g, ignore_isolated=args.ignore_isolated)
         payload["decomposition"] = {
             "base_length": dec.base_length,
             "steps": [
                 {"op": "glue", "first": s.first, "second": s.second}
-                if isinstance(s, euler_mod.GlueStep)
+                if isinstance(s, euler.GlueStep)
                 else {"op": "attach", "node": s.node, "length": s.length}
                 for s in dec.steps
             ],
@@ -217,7 +235,7 @@ def _cmd_euler(args: argparse.Namespace) -> int:
         }
         lines.append(f"base cycle length: {dec.base_length}")
         for s in dec.steps:
-            if isinstance(s, euler_mod.GlueStep):
+            if isinstance(s, euler.GlueStep):
                 lines.append(f"glue {s.first} {s.second}")
             else:
                 lines.append(f"attach cycle of length {s.length} at {s.node}")
@@ -226,8 +244,10 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
+    from . import homology
+
     g = io.load_graph(args.graph, args.format)
-    summary = homology_mod.homology_summary(g)
+    summary = homology.homology_summary(g)
     payload: dict[str, Any] = {
         "h0_rank": summary.h0_rank,
         "h1_rank": summary.h1_rank,
@@ -243,7 +263,7 @@ def _cmd_homology(args: argparse.Namespace) -> int:
         entries = " ".join(f"{a}:{c}" for a, c in chain.coefficients.items())
         lines.append(f"basis {i}: {entries}")
     if args.max_coeff is not None:
-        vectors = homology_mod.positive_kernel_vectors(g, args.max_coeff, cap=_hom_cap())
+        vectors = homology.positive_kernel_vectors(g, args.max_coeff, cap=_hom_cap())
         payload["positive_kernel_vectors"] = [io.chain_to_dict(c) for c in vectors]
         for i, chain in enumerate(vectors):
             entries = " ".join(f"{a}:{c}" for a, c in chain.coefficients.items())
@@ -253,9 +273,11 @@ def _cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from . import homology
+
     g = io.load_graph(args.graph, args.format)
     chain = io.load_chain(args.chain, g)
-    dec = homology_mod.decompose_positive_chain(chain)
+    dec = homology.decompose_positive_chain(chain)
     payload = {
         "cycles": [
             {"base": w.base, "arcs": list(w.arcs), "multiplicity": m}
@@ -271,8 +293,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_postman(args: argparse.Namespace) -> int:
+    from . import homology
+
     g = io.load_graph(args.graph, args.format)
-    walk, minimal = homology_mod.minimal_covering_walk(g)
+    walk, minimal = homology.minimal_covering_walk(g)
     payload = {
         "minimal_length": minimal,
         "walk": {"base": walk.base, "arcs": list(walk.arcs)},
@@ -284,6 +308,8 @@ def _cmd_postman(args: argparse.Namespace) -> int:
 
 
 def _cmd_pagerank(args: argparse.Namespace) -> int:
+    from .pagerank import connectivity_report, pagerank
+
     g = io.load_graph(args.graph, args.format)
     rank = pagerank(g, args.damping, args.tol, args.max_iter)
     payload: dict[str, Any] = {
@@ -312,17 +338,16 @@ def _cmd_pagerank(args: argparse.Namespace) -> int:
 
 
 def _cmd_hom_count(args: argparse.Namespace) -> int:
-    from .core import trace_of_power
-
     g = io.load_graph(args.graph, args.format)
     if args.n < 0:
         raise ValidationError("walk length must be >= 0")
-    counts = []
-    for n in range(args.n + 1):
-        if args.enumerate:
-            counts.append(len(homotopy.enumerate_hom_cycles(g, n, cap=_hom_cap())))
-        else:
-            counts.append(trace_of_power(g, n))
+    if args.enumerate:
+        from . import homotopy
+
+        cap = _hom_cap()
+        counts = [len(homotopy.enumerate_hom_cycles(g, n, cap=cap)) for n in range(args.n + 1)]
+    else:
+        counts = [trace_of_power(g, n) for n in range(args.n + 1)]
     payload = {
         "method": "enumeration" if args.enumerate else "trace",
         "counts": [{"n": n, "count": c} for n, c in enumerate(counts)],
@@ -333,8 +358,10 @@ def _cmd_hom_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_reflexive_add(args: argparse.Namespace) -> int:
+    from . import reflexive
+
     g = io.load_graph(args.graph, args.format)
-    rg = reflexive_mod.add_degeneracies(g)
+    rg = reflexive.add_degeneracies(g)
     _emit(
         args,
         {"graph": io.reflexive_to_dict(rg)},
@@ -345,8 +372,10 @@ def _cmd_reflexive_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_reflexive_strip(args: argparse.Namespace) -> int:
+    from . import reflexive
+
     rg = io.load_reflexive(args.graph)
-    g = reflexive_mod.strip_degeneracies(rg)
+    g = reflexive.strip_degeneracies(rg)
     _emit(
         args,
         {"graph": io.graph_to_dict(g)},
@@ -356,10 +385,12 @@ def _cmd_reflexive_strip(args: argparse.Namespace) -> int:
 
 
 def _cmd_reflexive_weq(args: argparse.Namespace) -> int:
+    from . import reflexive
+
     dom = io.load_reflexive(args.domain)
     cod = io.load_reflexive(args.codomain)
     f = io.load_morphism(args.morphism, dom, cod)
-    _emit(args, *_verdict_output(reflexive_mod.is_weak_equivalence_reflexive(f)))
+    _emit(args, *_verdict_output(reflexive.is_weak_equivalence_reflexive(f)))
     return 0
 
 

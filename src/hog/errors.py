@@ -4,11 +4,17 @@ Two branches so scripts can tell failure classes apart by exit code:
 ``InputError`` (CLI exit 2) covers unparseable files and broken references,
 ``DomainError`` (CLI exit 1) covers well-formed inputs that simply lack the
 property an operation needs (not Eulerian, not strongly connected, ...).
+``InvariantError`` (CLI exit 1) is neither: an internal check that valid
+input cannot fail, raised instead of a bare ``AssertionError``.
 """
 
 
 class HogError(Exception):
     """Base class for all library errors."""
+
+
+class InvariantError(HogError):
+    """An internal invariant failed: a fault in hog, not in its input."""
 
 
 class InputError(HogError):

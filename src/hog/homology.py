@@ -24,6 +24,7 @@ from .core import ClosedWalk, DirectedGraph
 from .errors import (
     CapExceededError,
     CoefficientError,
+    InvariantError,
     NegativeCoefficientError,
     NoArcsError,
     NonzeroBoundaryError,
@@ -142,7 +143,7 @@ def homology_summary(g: DirectedGraph) -> HomologySummary:
     h1_rank = len(g.arc_ids) - len(g.nodes) + components
     basis = _forest_cycle_basis(g)
     if len(basis) != h1_rank:
-        raise AssertionError("cycle basis size disagrees with kernel rank")
+        raise InvariantError("cycle basis size disagrees with kernel rank")
     return HomologySummary(components - 1, h1_rank, basis, components)
 
 
@@ -239,7 +240,7 @@ def decompose_positive_chain(u: ArcChain) -> CycleDecomposition:
             v = tgt[aid]
             aid = next((b for b in out_ids[v] if residual.get(b, 0) > 0), None)
         if v != start:
-            raise AssertionError("extraction stuck away from its start")
+            raise InvariantError("extraction stuck away from its start")
         counts = Counter(walk)
         extra = min(residual.get(b, 0) // k for b, k in counts.items())
         if extra:
@@ -276,7 +277,7 @@ def _splice_all(walks: list[ClosedWalk]) -> ClosedWalk:
                 if best is None or node < best[0]:
                     best = (node, i)
         if best is None:
-            raise AssertionError("walks do not connect; graph not connected?")
+            raise NotConnectedError("walks do not connect; graph not connected?")
         node, i = best
         current = _splice(current, rest.pop(i), node)
     return current

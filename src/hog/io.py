@@ -17,16 +17,30 @@ from __future__ import annotations
 import json
 import sys
 from itertools import chain
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core import DirectedGraph, GraphMorphism, build_graph, graph_from_columns
 from .errors import CoefficientError, ParseError
-from .homology import ArcChain
-from .reflexive import ReflexiveGraph, ReflexiveMorphism
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from .homology import ArcChain
+    from .reflexive import ReflexiveGraph, ReflexiveMorphism
+
+
+def _reflexive(g: Any) -> ModuleType | None:
+    """``hog.reflexive`` when g is one of its ReflexiveGraphs, else None.
+
+    Such a graph exists only once that module is loaded, so telling one
+    apart does not load it.
+    """
+    module = sys.modules.get("hog.reflexive")
+    return module if module is not None and isinstance(g, module.ReflexiveGraph) else None
 
 
 def graph_to_dict(g: DirectedGraph | ReflexiveGraph) -> dict[str, Any]:
-    if isinstance(g, ReflexiveGraph):
+    if _reflexive(g):
         g = g.graph
     return {
         "nodes": list(g.nodes),
@@ -79,6 +93,8 @@ def graph_from_dict(payload: Any) -> DirectedGraph:
 
 
 def reflexive_from_dict(payload: Any) -> ReflexiveGraph:
+    from .reflexive import ReflexiveGraph
+
     payload = _unwrap(payload)
     if not isinstance(payload, dict) or "degeneracies" not in payload:
         raise ParseError('reflexive graph payload needs a "degeneracies" map')
@@ -101,7 +117,8 @@ def morphism_from_dict(
     arcs = payload.get("arcs", {})
     if not isinstance(nodes, dict) or not isinstance(arcs, dict):
         raise ParseError('morphism payload needs "nodes" and "arcs" maps')
-    cls = ReflexiveMorphism if isinstance(domain, ReflexiveGraph) else GraphMorphism
+    reflexive = _reflexive(domain)
+    cls = GraphMorphism if reflexive is None else reflexive.ReflexiveMorphism
     return cls(
         domain,
         codomain,
@@ -111,6 +128,8 @@ def morphism_from_dict(
 
 
 def chain_from_dict(payload: Any, graph: DirectedGraph) -> ArcChain:
+    from .homology import ArcChain
+
     if not isinstance(payload, dict) or not isinstance(payload.get("coefficients"), dict):
         raise ParseError('chain payload needs a "coefficients" map')
     try:

@@ -12,6 +12,7 @@ import functools
 import random
 from collections import Counter
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -94,12 +95,15 @@ def _graph_infos():
     return infos
 
 
-def _first_nonbijective(sigma, nx, ny, tx_vec, ty_vec, dom_tuples, xg, arc_map):
+def _first_nonbijective(sigma, nx, ny, tx_vec, ty_vec, dom_getters, xg, arc_map):
     """Smallest length 0..N_MAX where composition fails to be a bijection.
 
     Counts come from trace vectors (validated against enumeration by the
     hom-count criterion); explicit tuple mapping happens only when both
     counts are equal and positive, where injectivity is the open question.
+    Each domain walk maps through one ``itemgetter`` over its arc tuple,
+    built once per domain graph and length.  A one-arc walk maps to a bare
+    arc id rather than a 1-tuple, which leaves the images equally distinct.
     """
     if nx != ny or len(set(sigma)) != nx:
         return 0
@@ -108,11 +112,11 @@ def _first_nonbijective(sigma, nx, ny, tx_vec, ty_vec, dom_tuples, xg, arc_map):
         if tx != ty:
             return n
         if tx:
-            tuples = dom_tuples.get(n)
-            if tuples is None:
-                tuples = _closed_walk_arc_tuples(xg, n, None)
-                dom_tuples[n] = tuples
-            images = {tuple(map(arc_map.__getitem__, t)) for t in tuples}
+            getters = dom_getters.get(n)
+            if getters is None:
+                getters = [itemgetter(*t) for t in _closed_walk_arc_tuples(xg, n, None)]
+                dom_getters[n] = getters
+            images = {get(arc_map) for get in getters}
             if len(images) != tx:
                 return n
     return None
@@ -137,7 +141,7 @@ def morphism_scan():
         xcells = X["cells"]
         tx_vec = X["traces"]
         xnodes = xg.nodes
-        dom_tuples: dict[int, list] = {}
+        dom_getters: dict[int, list] = {}
         for yi, Y in enumerate(infos):
             if xcells and not Y["cellmap"]:
                 continue
@@ -167,7 +171,7 @@ def morphism_scan():
                     f = GraphMorphism(xg, yg, node_map, arc_map)
                     verdict = bool(is_weak_equivalence(f))
                     fail_n = _first_nonbijective(
-                        sigma, nx, ny, tx_vec, ty_vec, dom_tuples, xg, arc_map
+                        sigma, nx, ny, tx_vec, ty_vec, dom_getters, xg, arc_map
                     )
                     total += 1
                     if verdict != (fail_n is None):

@@ -393,7 +393,8 @@ def _subcommands(parser):
     return names
 
 
-def test_only_pagerank_imports_numpy(tmp_path):
+def _every_subcommand(tmp_path):
+    """Input files in tmp_path, and one argv per leaf subcommand."""
     c3 = standard_cycle(3)
     files = {
         "c3.json": graph_to_dict(c3),
@@ -427,11 +428,95 @@ def test_only_pagerank_imports_numpy(tmp_path):
     ]
     covered = {" ".join(r[:2]) if r[0] == "reflexive" else r[0] for r in runs}
     assert covered == set(_subcommands(build_parser()))
+    return runs
+
+
+def test_only_pagerank_imports_numpy(tmp_path):
+    runs = _every_subcommand(tmp_path)
     proc = _python(["-c", NUMPY_PROBE, json.dumps(runs)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded.pop("pagerank c3.json") is True
     assert not any(loaded.values()), loaded
+
+
+# Each run starts from a fork of an interpreter that has imported hog.cli and
+# nothing else of hog, so it sees the modules that subcommand alone loads.
+MODULES_PROBE = """
+import contextlib, io, json, os, sys, traceback
+
+def loaded():
+    return sorted(m[4:] for m in sys.modules if m.startswith("hog.") and m != "hog.cli")
+
+import hog
+print(json.dumps(["import hog", loaded()]), flush=True)
+import hog.cli
+for argv in json.loads(sys.argv[1]):
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = hog.cli.main(argv)
+            print(json.dumps([" ".join(argv), loaded() if code == 0 else code]), flush=True)
+        except BaseException:
+            traceback.print_exc()
+        os._exit(0)
+    os.waitpid(pid, 0)
+"""
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    runs = _every_subcommand(tmp_path) + [["hom-count", "c3.json", "4"]]
+    proc = _python(["-c", MODULES_PROBE, json.dumps(runs)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(json.loads(line) for line in proc.stdout.splitlines())
+    base = ["core", "errors", "io"]
+    homotopy = sorted(base + ["homotopy", "scc"])
+    homology = sorted(homotopy + ["euler", "homology"])
+    reflexive = sorted(homotopy + ["reflexive"])
+    assert loaded == {
+        "import hog": [],
+        "scc c3.json": sorted(base + ["scc"]),
+        "weq c3.json c3.json ident.json --oracle 3": homotopy,
+        "cofibrant c3.json": homotopy,
+        "glue-nodes c3.json x0 x1": homotopy,
+        "attach-cycle c3.json x0 2": homotopy,
+        "glue-paths parallel.txt a b": homotopy,
+        "euler c3.json --construct --decompose": sorted(homotopy + ["euler"]),
+        "homology c3.json --max-coeff 1": homology,
+        "decompose c3.json chain.json": homology,
+        "postman c3.json": homology,
+        "hom-count c3.json 4 --enumerate": homotopy,
+        "hom-count c3.json 4": base,
+        "reflexive add c3.json": reflexive,
+        "reflexive strip rc3.json": reflexive,
+        "reflexive weq rc3.json rc3.json rident.json": reflexive,
+        "pagerank c3.json --report": sorted(base + ["pagerank", "scc"]),
+    }
+
+
+def test_every_exported_name_is_the_object_of_its_module():
+    for name in hog.__all__:
+        obj = getattr(hog, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert "pagerank" not in hog.__all__
+    with pytest.raises(AttributeError):
+        hog.no_such_name
+
+
+@pytest.mark.parametrize(
+    "first", ["", "import hog; hog.pagerank", "from hog import connectivity_report"]
+)
+def test_hog_pagerank_is_the_module_whatever_was_looked_up_first(tmp_path, first):
+    script = (
+        f"{first}\n"
+        "import hog.pagerank as pr\n"
+        "from hog import pagerank\n"
+        "assert pagerank is pr and type(pr).__name__ == 'module', pr\n"
+        "print(pr.connectivity_report.__module__, pr.pagerank.__module__)\n"
+    )
+    proc = _python(["-c", script], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "hog.pagerank hog.pagerank\n", "")
 
 
 def test_reader_closing_the_pipe_early_ends_without_a_traceback(tmp_path):

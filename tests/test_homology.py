@@ -3,8 +3,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from hog.core import build_graph, standard_cycle, standard_path
+from hog import homology
+from hog.core import ClosedWalk, build_graph, standard_cycle, standard_path
 from hog.errors import (
+    HogError,
     NegativeCoefficientError,
     NonzeroBoundaryError,
     NotConnectedError,
@@ -195,6 +197,13 @@ def test_euler_via_homology_not_connected():
     g = build_graph(["a", "b"], [("e", "a", "a")])
     with pytest.raises(NotConnectedError):
         euler_via_homology(g)
+
+
+def test_splicing_node_disjoint_walks_raises_a_hog_error():
+    g = build_graph(["a", "b"], [("p", "a", "a"), ("q", "b", "b")])
+    walks = [ClosedWalk(g, ("p",)), ClosedWalk(g, ("q",))]
+    with pytest.raises(HogError, match="walks do not connect"):
+        homology._splice_all(walks)
 
 
 @given(graphs(max_nodes=4, max_arcs=6))
