@@ -18,13 +18,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "AdjacencyMatrix",
         "Arc",
         "ClosedWalk",
         "DirectedGraph",
         "GraphMorphism",
         "Walk",
-        "adjacency_matrix",
         "build_graph",
         "degrees",
         "induced_subgraph",

@@ -1,4 +1,4 @@
-"""Core data model: directed multigraphs, morphisms, walks, adjacency matrices.
+"""Core data model: directed multigraphs, morphisms, walks, closed-walk counts.
 
 A graph is a finite directed multigraph: parallel arcs and self-loops are
 allowed, and every arc carries its own identity (adjacency counts alone would
@@ -122,9 +122,6 @@ class DirectedGraph:
 
     def has_node(self, node: str) -> bool:
         return node in self.node_index
-
-    def has_arc(self, arc_id: str) -> bool:
-        return arc_id in self.arc_index
 
     def arc_position(self, arc_id: str) -> int:
         """The index of the arc in the columns."""
@@ -483,20 +480,6 @@ class GraphMorphism:
             {a: self.arc_map[b] for a, b in inner.arc_map.items()},
         )
 
-    def map_closed_walk(self, walk: ClosedWalk) -> ClosedWalk:
-        return ClosedWalk(
-            self.codomain,
-            tuple(self.arc_map[a] for a in walk.arcs),
-            base=self.node_map[walk.base],
-        )
-
-    def map_walk(self, walk: Walk) -> Walk:
-        return Walk(
-            self.codomain,
-            tuple(self.arc_map[a] for a in walk.arcs),
-            start=self.node_map[walk.start],
-        )
-
 
 def _arc_faults(
     aid: str,
@@ -527,55 +510,26 @@ def _arc_faults(
     return out
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
-    """Arc-count matrix over Python ints (exact for arbitrary powers)."""
-
-    order: int
-    entries: tuple[tuple[int, ...], ...]
-    index: dict[str, int]
-
-    def count(self, src: str, tgt: str) -> int:
-        try:
-            return self.entries[self.index[src]][self.index[tgt]]
-        except KeyError as exc:
-            raise UnknownNodeError(f"unknown node {exc.args[0]!r}") from None
-
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.order))
-
-    def power(self, n: int) -> "AdjacencyMatrix":
-        """Entrywise-exact n-th matrix power; entry (i, j) counts length-n walks."""
-        if n < 0:
-            raise ValidationError("matrix power must be >= 0")
-        size = self.order
-        result = [[int(i == j) for j in range(size)] for i in range(size)]
-        base = [list(row) for row in self.entries]
-        while n:
-            if n & 1:
-                result = _matmul(result, base)
-            n >>= 1
-            if n:
-                base = _matmul(base, base)
-        return AdjacencyMatrix(size, tuple(tuple(row) for row in result), self.index)
-
-
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    size = len(a)
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def adjacency_matrix(g: DirectedGraph) -> AdjacencyMatrix:
-    """Entry (i, j) counts the arcs from node i to node j, with multiplicity."""
+def trace_of_power(g: DirectedGraph, n: int) -> int:
+    """Number of based closed walks of length n: the trace of the n-th power
+    of the arc-count matrix, by binary powering over exact Python ints."""
+    if n < 0:
+        raise ValidationError("matrix power must be >= 0")
     idx = g.node_index
     size = len(g.nodes)
-    rows = [[0] * size for _ in range(size)]
+    base = [[0] * size for _ in range(size)]
     for src, tgt in zip(g.arc_srcs, g.arc_tgts):
-        rows[idx[src]][idx[tgt]] += 1
-    return AdjacencyMatrix(size, tuple(tuple(r) for r in rows), dict(idx))
-
-
-def trace_of_power(g: DirectedGraph, n: int) -> int:
-    """Number of based closed walks of length n, computed algebraically."""
-    return adjacency_matrix(g).power(n).trace()
+        base[idx[src]][idx[tgt]] += 1
+    result = [[int(i == j) for j in range(size)] for i in range(size)]
+    while n:
+        if n & 1:
+            result = _matmul(result, base)
+        n >>= 1
+        if n:
+            base = _matmul(base, base)
+    return sum(result[i][i] for i in range(size))

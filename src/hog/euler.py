@@ -160,10 +160,17 @@ def euler_cycle(g: DirectedGraph, ignore_isolated: bool = False) -> ClosedWalk:
     first, *rest = _extract_cycles(g)
     arcs, visits = list(first.arcs), list(first.visits)
     for cyc in rest:
-        pos = visits.index(cyc.base)
-        arcs[pos:pos] = cyc.arcs
-        visits[pos:pos] = cyc.visits
+        _splice(arcs, visits, cyc, cyc.base)
     return ClosedWalk(g, tuple(arcs))
+
+
+def _splice(arcs: list[str], visits: list[str], cycle: ClosedWalk, at: str) -> None:
+    """Insert cycle, rotated to its first visit of at, into the walk given by
+    arcs and visits, just before the walk's first visit of at."""
+    k = cycle.visits.index(at)
+    pos = visits.index(at)
+    arcs[pos:pos] = cycle.arcs[k:] + cycle.arcs[:k]
+    visits[pos:pos] = cycle.visits[k:] + cycle.visits[:k]
 
 
 def _not_eulerian_message(report: EulerReport) -> str:

@@ -18,8 +18,9 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
+from . import euler
 from .core import ClosedWalk, DirectedGraph
 from .errors import (
     CapExceededError,
@@ -253,25 +254,16 @@ def decompose_positive_chain(u: ArcChain) -> CycleDecomposition:
     return CycleDecomposition(tuple(cycles), tuple(mults))
 
 
-def _splice(current: ClosedWalk, cycle: ClosedWalk, at: str) -> ClosedWalk:
-    rebased = cycle.rotate_to(at)
-    pos = current.visits.index(at)
-    return ClosedWalk(
-        current.graph,
-        current.arcs[:pos] + rebased.arcs + current.arcs[pos:],
-        base=current.base if current.arcs else at,
-    )
-
-
-def _splice_all(walks: list[ClosedWalk]) -> ClosedWalk:
+def _splice_all(walks: Sequence[ClosedWalk]) -> ClosedWalk:
     """Merge closed walks sharing nodes into one; smallest shared id first."""
-    current = walks[0]
-    rest = list(walks[1:])
+    first, *rest = walks
+    arcs, visits = list(first.arcs), list(first.visits)
+    seen = set(visits)
+    rest_nodes = [set(w.visits) for w in rest]
     while rest:
         best: tuple[str, int] | None = None
-        current_nodes = set(current.visits)
-        for i, w in enumerate(rest):
-            shared = current_nodes & set(w.visits)
+        for i, nodes in enumerate(rest_nodes):
+            shared = seen & nodes
             if shared:
                 node = min(shared)
                 if best is None or node < best[0]:
@@ -279,8 +271,9 @@ def _splice_all(walks: list[ClosedWalk]) -> ClosedWalk:
         if best is None:
             raise NotConnectedError("walks do not connect; graph not connected?")
         node, i = best
-        current = _splice(current, rest.pop(i), node)
-    return current
+        seen |= rest_nodes.pop(i)
+        euler._splice(arcs, visits, rest.pop(i), node)
+    return ClosedWalk(first.graph, tuple(arcs), base=visits[0])
 
 
 def euler_via_homology(g: DirectedGraph) -> EulerReport:
@@ -302,9 +295,7 @@ def euler_via_homology(g: DirectedGraph) -> EulerReport:
             (v, len(g.in_arc_ids(v)), len(g.out_arc_ids(v))) for v in g.nodes if v in b
         )
         return EulerReport(False, True, violations)
-    dec = decompose_positive_chain(chain)
-    walks = list(dec.cycles)
-    cycle = _splice_all(walks)
+    cycle = _splice_all(decompose_positive_chain(chain).cycles)
     return EulerReport(True, True, (), cycle)
 
 

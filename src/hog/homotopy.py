@@ -7,10 +7,10 @@ the nodes); it is decided by a strongly-connected-component characterization:
 the induced map on components must be a bijection whose restriction to each
 component is an isomorphism onto its image component.  The cycles-only class
 drops n = 0; its verdict applies the same procedure restricted to nontrivial
-components (those containing at least one arc).  That restriction is derived
-rather than proved; the test suite cross-validates it against the enumeration
-oracle, and ``brute_force_weq_check`` remains available as an independent
-falsifier.
+components (those containing at least one arc).  That restriction is
+sufficient but not necessary: a conjugacy that folds a two-node component
+onto one node can be bijective on closed walks of every positive length yet
+be judged False.  ``brute_force_weq_check`` remains an independent falsifier.
 
 Both verdicts, and the reflexive one, validate the morphism once and then call
 ``_component_verdict(f, dx, dy, cycles_only)`` with the two decompositions.
@@ -230,8 +230,8 @@ def is_weak_equivalence_cycles_only(f: GraphMorphism) -> WeakEquivalenceVerdict:
 
     Applies the component characterization restricted to nontrivial components;
     arcless singleton components are ignored because positive-length walks
-    never visit them.  Derived characterization; cross-validated against
-    ``brute_force_weq_check`` in the test suite.
+    never visit them.  A True verdict is exact; a False one may not be, since
+    a matched component need not be bijective on nodes (see the module notes).
     """
     f.validate()
     return _component_verdict(f, scc_decompose(f.domain), scc_decompose(f.codomain), True)

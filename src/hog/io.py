@@ -8,8 +8,9 @@ Chain JSON: {"coefficients": {"a": 2, ...}}.
 Edge lists: one "src tgt [arc_id]" per line, nodes inferred in first-appearance
 order, "#" starts a comment.
 
-Readers are lenient about extra keys and accept payloads wrapped in a
-{"graph": ...} envelope, so command output pipes back in unchanged.
+Readers are lenient about extra keys but take only JSON strings as names,
+and accept payloads wrapped in a {"graph": ...} envelope, so command output
+pipes back in unchanged.
 """
 
 from __future__ import annotations
@@ -69,13 +70,20 @@ def _unwrap(payload: Any) -> Any:
     return payload
 
 
+def _name(value: Any, what: str, *keys: object) -> str:
+    """value, if it is a string; what.format(*keys) names the entry if not."""
+    if isinstance(value, str):
+        return value
+    raise ParseError(f"{what.format(*keys)} is not a string: {json.dumps(value, default=repr)}")
+
+
 def _parse_arcs(raw: Any) -> list[tuple[str, str, str]]:
     arcs = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ParseError(f"arc #{i} is not an object")
         try:
-            arcs.append((str(entry["id"]), str(entry["src"]), str(entry["tgt"])))
+            arcs.append(tuple(_name(entry[k], "arc #{} {!r}", i, k) for k in ("id", "src", "tgt")))
         except KeyError as exc:
             raise ParseError(f"arc #{i} lacks key {exc.args[0]!r}") from None
     return arcs
@@ -89,7 +97,7 @@ def graph_from_dict(payload: Any) -> DirectedGraph:
     arcs = payload.get("arcs", [])
     if not isinstance(nodes, list) or not isinstance(arcs, list):
         raise ParseError('graph payload needs "nodes" and "arcs" lists')
-    return build_graph([str(n) for n in nodes], _parse_arcs(arcs))
+    return build_graph([_name(n, "node #{}", i) for i, n in enumerate(nodes)], _parse_arcs(arcs))
 
 
 def reflexive_from_dict(payload: Any) -> ReflexiveGraph:
@@ -102,7 +110,8 @@ def reflexive_from_dict(payload: Any) -> ReflexiveGraph:
     deg = payload["degeneracies"]
     if not isinstance(deg, dict):
         raise ParseError('"degeneracies" must be an object')
-    return ReflexiveGraph(g.nodes, g.arcs, {str(k): str(v) for k, v in deg.items()})
+    deg = {k: _name(v, "degeneracy of {!r}", k) for k, v in deg.items()}
+    return ReflexiveGraph(g.nodes, g.arcs, deg)
 
 
 def morphism_from_dict(
@@ -122,8 +131,8 @@ def morphism_from_dict(
     return cls(
         domain,
         codomain,
-        {str(k): str(v) for k, v in nodes.items()},
-        {str(k): str(v) for k, v in arcs.items()},
+        {k: _name(v, "image of node {!r}", k) for k, v in nodes.items()},
+        {k: _name(v, "image of arc {!r}", k) for k, v in arcs.items()},
     )
 
 
@@ -133,7 +142,7 @@ def chain_from_dict(payload: Any, graph: DirectedGraph) -> ArcChain:
     if not isinstance(payload, dict) or not isinstance(payload.get("coefficients"), dict):
         raise ParseError('chain payload needs a "coefficients" map')
     try:
-        return ArcChain(graph, {str(k): v for k, v in payload["coefficients"].items()})
+        return ArcChain(graph, payload["coefficients"])
     except CoefficientError as exc:
         raise ParseError(str(exc)) from None
 

@@ -13,21 +13,8 @@ from itertools import compress
 from operator import eq, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
-from .core import Arc, DirectedGraph, graph_from_columns, induced_subgraph
+from .core import DirectedGraph, graph_from_columns
 from .errors import EmptyGraphError
-
-
-@dataclass(frozen=True, eq=False)
-class ComponentSubgraph:
-    """One strongly connected component viewed as an induced subgraph."""
-
-    parent: DirectedGraph
-    index: int
-    nodes: frozenset[str]
-    arcs: tuple[Arc, ...]
-
-    def as_graph(self) -> DirectedGraph:
-        return induced_subgraph(self.parent, self.nodes)
 
 
 class ComponentTable(NamedTuple):
@@ -48,12 +35,6 @@ class SccDecomposition:
     condensation: DirectedGraph
 
     @cached_property
-    def component_arcs(self) -> tuple[tuple[Arc, ...], ...]:
-        """Arcs lying inside each component, in graph order."""
-        arc = self.graph.arc
-        return tuple(tuple(map(arc, ids)) for ids in self.table.arc_ids)
-
-    @cached_property
     def table(self) -> ComponentTable:
         """Built on first use and kept with the decomposition, so every
         verdict on a cached graph reads it instead of rebuilding sets."""
@@ -69,14 +50,6 @@ class SccDecomposition:
             tuple(map(frozenset, arc_ids)),
             tuple(range(len(self.components))),
             tuple(i for i, ids in enumerate(arc_ids) if ids),
-        )
-
-    def subgraph(self, index: int) -> ComponentSubgraph:
-        return ComponentSubgraph(
-            self.graph,
-            index,
-            frozenset(self.components[index]),
-            self.component_arcs[index],
         )
 
 

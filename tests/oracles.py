@@ -10,12 +10,14 @@ attach surgery step by step, as the script's definition says.
 The weak-equivalence references keep the component verdict as it was before
 it read precomputed component tables: sets rebuilt on every call, index lists
 passed in, and the reflexive verdict on freshly forgotten graphs.  They share
-the library's SCC decomposition, which other tests check on its own.
+the library's SCC decomposition, which other tests check on its own, and
+bucket the arcs inside each component with ``component_arcs_by_loop``.
 
 The per-arc references keep the edge-list parser, the SCC decomposition, its
 inner-arc buckets, the acyclicity test and the cofibrant core as they were
 while every per-arc pass was a Python loop with string-keyed lookups, and
-``euler_cycle`` as it was while it spliced whole validated walks.
+``euler_cycle`` and the postman splice as they were while they spliced whole
+validated walks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from itertools import product
 
 from hog.core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, standard_cycle
-from hog.errors import ParseError
+from hog.errors import NotConnectedError, ParseError
 from hog.homotopy import WeakEquivalenceVerdict
 from hog.scc import SccDecomposition, scc_decompose
 
@@ -235,6 +237,7 @@ def component_verdict_by_sets(
     cod_indices: list[int],
 ) -> WeakEquivalenceVerdict:
     nm, am = f.node_map, f.arc_map
+    dx_arcs, dy_arcs = component_arcs_by_loop(dx), component_arcs_by_loop(dy)
     cod_index_set = set(cod_indices)
     matching: list[tuple[int, int]] = []
     image_of: dict[int, int] = {}
@@ -283,8 +286,8 @@ def component_verdict_by_sets(
                 f"component {i} has {len(comp)} nodes but its image component {j} "
                 f"has {len(target)}",
             )
-        arc_images = [am[a.id] for a in dx.component_arcs[i]]
-        target_arcs = {a.id for a in dy.component_arcs[j]}
+        arc_images = [am[a.id] for a in dx_arcs[i]]
+        target_arcs = {a.id for a in dy_arcs[j]}
         if len(set(arc_images)) != len(arc_images):
             return WeakEquivalenceVerdict(
                 False, None, f"restriction to component {i} is not injective on arcs"
@@ -312,8 +315,8 @@ def weq_cycles_only_by_sets(f: GraphMorphism) -> WeakEquivalenceVerdict:
     f.validate()
     dx = scc_decompose(f.domain)
     dy = scc_decompose(f.codomain)
-    dom = [i for i, arcs in enumerate(dx.component_arcs) if arcs]
-    cod = [j for j, arcs in enumerate(dy.component_arcs) if arcs]
+    dom = [i for i, arcs in enumerate(component_arcs_by_loop(dx)) if arcs]
+    cod = [j for j, arcs in enumerate(component_arcs_by_loop(dy)) if arcs]
     return component_verdict_by_sets(f, dx, dy, dom, cod)
 
 
@@ -448,6 +451,26 @@ def _splice_walks(current: ClosedWalk, cycle: ClosedWalk, at: str) -> ClosedWalk
         current.arcs[:pos] + rebased.arcs + current.arcs[pos:],
         base=current.base if current.arcs else at,
     )
+
+
+def splice_all_by_walks(walks: list[ClosedWalk]) -> ClosedWalk:
+    """Merge closed walks sharing nodes into one; smallest shared id first."""
+    current = walks[0]
+    rest = list(walks[1:])
+    while rest:
+        best: tuple[str, int] | None = None
+        current_nodes = set(current.visits)
+        for i, w in enumerate(rest):
+            shared = current_nodes & set(w.visits)
+            if shared:
+                node = min(shared)
+                if best is None or node < best[0]:
+                    best = (node, i)
+        if best is None:
+            raise NotConnectedError("walks do not connect; graph not connected?")
+        node, i = best
+        current = _splice_walks(current, rest.pop(i), node)
+    return current
 
 
 def euler_cycle_by_walk_splicing(g: DirectedGraph) -> ClosedWalk:

@@ -76,6 +76,14 @@ def test_dangling_arc_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_node_that_is_not_a_string_exit_2(capsys, tmp_path):
+    bad = tmp_path / "numbers.json"
+    bad.write_text(json.dumps({"nodes": [1, True, None, 1.5], "arcs": []}))
+    code, out, err = run(capsys, "scc", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: node #0 is not a string: 1\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "scc", "/nonexistent/graph.json")
     assert code == 2

@@ -14,7 +14,6 @@ from hog.core import (
     DirectedGraph,
     GraphMorphism,
     Walk,
-    adjacency_matrix,
     build_graph,
     degrees,
     graph_from_columns,
@@ -210,12 +209,22 @@ def test_arc_lookups_read_the_columns():
             lookup("zz")
 
 
-def test_adjacency_matrix():
-    m = adjacency_matrix(standard_cycle(3))
-    assert m.count("x0", "x1") == 1 and m.count("x1", "x0") == 0
-    assert adjacency_matrix(standard_cycle(0)).entries == ((0,),)
-    doubled = build_graph(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
-    assert adjacency_matrix(doubled).count("x", "y") == 2
+def test_trace_of_power_counts_parallel_arcs():
+    # closed walks of length 2: ac and bc from x, ca and cb from y
+    g = build_graph(["x", "y"], [("a", "x", "y"), ("b", "x", "y"), ("c", "y", "x")])
+    assert trace_of_power(g, 2) == 4
+    assert trace_of_power(g, 1) == 0 and trace_of_power(g, 3) == 0
+
+
+def test_trace_of_power_is_exact_at_large_powers():
+    g = build_graph(["x"], [("p", "x", "x"), ("q", "x", "x")])
+    assert trace_of_power(g, 200) == 2**200
+
+
+def test_trace_of_power_rejects_negative_lengths():
+    with pytest.raises(ValidationError) as exc:
+        trace_of_power(standard_cycle(3), -1)
+    assert str(exc.value) == "matrix power must be >= 0"
 
 
 def test_morphism_is_valid_identity_and_rotation():

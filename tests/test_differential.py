@@ -8,23 +8,34 @@ maps, parsed graphs with their node order, and the type and text of every
 error.  The graphs are seeded multigraphs with parallel arcs, self-loops,
 isolated nodes and arc ids out of node order, built from triples, from
 ``Arc`` values and from a mix, plus a long path for depth.
+
+The walk splice behind postman tours and ``euler_via_homology`` must give
+the same arcs and base as splicing whole validated walks, on the walks that
+``decompose_positive_chain`` yields for seeded postman and Euler inputs and
+for every strongly connected graph of ``connected_small_graphs(3, 5)``.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from hog.core import Arc, DirectedGraph, standard_path
+from hog import homology
+from hog.core import Arc, DirectedGraph, graph_from_columns, standard_path
+from hog.enumeration import connected_small_graphs
 from hog.errors import DuplicateIdError, HogError, ParseError
+from hog.euler import euler_check
+from hog.homology import ArcChain, decompose_positive_chain, fundamental_chain
 from hog.homotopy import cofibrant_replacement
 from hog.io import parse_edgelist
-from hog.scc import is_acyclic, scc_decompose
+from hog.scc import is_acyclic, is_strongly_connected, scc_decompose
 from oracles import (
     cofibrant_replacement_by_loop,
     component_arcs_by_loop,
     is_acyclic_by_loop,
     parse_edgelist_by_loop,
     scc_decompose_by_loops,
+    splice_all_by_walks,
 )
 
 FORMS = ("triples", "arcs", "mix")
@@ -70,7 +81,9 @@ def _assert_same_decomposition(g: DirectedGraph) -> None:
     assert got.condensation.nodes == want.condensation.nodes
     assert got.condensation.arcs == want.condensation.arcs
     assert {type(a) for a in got.condensation.arcs} <= {Arc}
-    assert got.component_arcs == component_arcs_by_loop(want)
+    assert got.table.arc_ids == tuple(
+        tuple(a.id for a in arcs) for arcs in component_arcs_by_loop(want)
+    )
     assert is_acyclic(g) == is_acyclic_by_loop(g)
 
 
@@ -165,3 +178,56 @@ def test_parse_errors_match_the_loop_reference():
         assert got == _outcome(parse_edgelist_by_loop, text)
         kinds.add(got[0])
     assert {ParseError, DuplicateIdError} <= kinds
+
+
+def _postman_walks(g: DirectedGraph) -> list:
+    """The closed walks, repeated by multiplicity, that the postman splices."""
+    total = Counter(dict.fromkeys(g.arc_ids, 1))
+    total.update(homology._min_cost_duplicates(g))
+    dec = decompose_positive_chain(ArcChain(g, dict(total)))
+    return [w for w, m in zip(dec.cycles, dec.multiplicities) for _ in range(m)]
+
+
+def _euler_walks(g: DirectedGraph) -> list:
+    """The closed walks that ``euler_via_homology`` splices."""
+    return list(decompose_positive_chain(fundamental_chain(g)).cycles)
+
+
+def _tours(rng: random.Random, n: int, cycles: int, extra: int) -> DirectedGraph:
+    """A shuffled Hamiltonian cycle on n nodes plus that many short random
+    cycles (Eulerian) plus extra random arcs (unbalanced when extra > 0)."""
+    nodes = [f"v{i}" for i in range(n)]
+    order = rng.sample(nodes, n)
+    ends = list(zip(order, order[1:] + order[:1]))
+    for _ in range(cycles):
+        loop = [rng.choice(nodes) for _ in range(rng.randint(1, 4))]
+        ends.extend(zip(loop, loop[1:] + loop[:1]))
+    ends.extend((rng.choice(nodes), rng.choice(nodes)) for _ in range(extra))
+    rng.shuffle(ends)
+    ids = [f"a{k}" for k in rng.sample(range(10 * len(ends)), len(ends))]
+    return graph_from_columns(nodes, ids, *zip(*ends))
+
+
+def _assert_same_splice(walks: list) -> None:
+    got, want = homology._splice_all(walks), splice_all_by_walks(walks)
+    assert got.arcs == want.arcs and got.base == want.base
+
+
+def test_splice_matches_whole_walk_splicing_on_seeded_graphs():
+    rng = random.Random(1742)
+    for _ in range(30):
+        n = rng.randint(2, 40)
+        _assert_same_splice(_postman_walks(_tours(rng, n, n, rng.randint(1, 2 * n))))
+        _assert_same_splice(_euler_walks(_tours(rng, n, 2 * n, 0)))
+
+
+def test_splice_matches_whole_walk_splicing_on_small_graphs():
+    checked = 0
+    for g in connected_small_graphs(3, 5):
+        if not is_strongly_connected(g):
+            continue
+        _assert_same_splice(_postman_walks(g))
+        if euler_check(g).is_eulerian:
+            _assert_same_splice(_euler_walks(g))
+        checked += 1
+    assert checked > 0

@@ -103,6 +103,36 @@ def test_cycles_only_identity_true():
     assert is_weak_equivalence_cycles_only(GraphMorphism.identity(standard_cycle(3)))
 
 
+def _folding_conjugacy() -> GraphMorphism:
+    """X (loops p at x and q at y, arcs a: x->y and b: y->x) onto two loops
+    at one node.  X is the 2-block presentation of that graph's edge shift
+    and the morphism is a conjugacy, bijective on closed walks of every
+    positive length, though it is not injective on nodes."""
+    x = build_graph(
+        ["x", "y"],
+        [("p", "x", "x"), ("q", "y", "y"), ("a", "x", "y"), ("b", "y", "x")],
+    )
+    y = build_graph(["z"], [("l1", "z", "z"), ("l2", "z", "z")])
+    return GraphMorphism(
+        x, y, {"x": "z", "y": "z"}, {"p": "l1", "b": "l1", "a": "l2", "q": "l2"}
+    )
+
+
+def test_folding_conjugacy_is_bijective_on_closed_walks():
+    reports = brute_force_weq_check(_folding_conjugacy(), 10, include_zero=False)
+    assert [r.n for r in reports] == list(range(1, 11))
+    assert all(r.bijective for r in reports)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the cycles-only verdict asks matched components to be bijective on nodes",
+)
+def test_cycles_only_accepts_the_folding_conjugacy():
+    verdict = is_weak_equivalence_cycles_only(_folding_conjugacy())
+    assert verdict.is_weak_equivalence, verdict.witness
+
+
 def test_cycles_only_fold_false():
     two = build_graph(
         ["u0", "u1", "u2", "v0", "v1", "v2"],

@@ -6,7 +6,13 @@ import pytest
 from hog.core import Arc, DirectedGraph, standard_cycle
 from hog.errors import DuplicateIdError, ParseError
 from hog.homotopy import cofibrant_replacement
-from hog.io import chain_from_dict, parse_edgelist
+from hog.io import (
+    chain_from_dict,
+    graph_from_dict,
+    morphism_from_dict,
+    parse_edgelist,
+    reflexive_from_dict,
+)
 from hog.pagerank import connectivity_report, pagerank
 from hog.scc import scc_decompose
 
@@ -66,6 +72,48 @@ def test_chain_rejects_bool_coefficients(coefficients, bad):
     with pytest.raises(ParseError) as exc:
         chain_from_dict({"coefficients": coefficients}, standard_cycle(2))
     assert str(exc.value) == f"coefficient of {bad!r} is not an integer"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"nodes": ["x", 1, True, None, 1.5]}, "node #1 is not a string: 1"),
+        ({"nodes": ["x", True]}, "node #1 is not a string: true"),
+        ({"nodes": [None]}, "node #0 is not a string: null"),
+        ({"nodes": ["x", 1.5]}, "node #1 is not a string: 1.5"),
+        ({"nodes": [["x"]]}, 'node #0 is not a string: ["x"]'),
+        (
+            {"nodes": ["x"], "arcs": [{"id": "a", "src": "x", "tgt": "x"}, {"id": 7}]},
+            "arc #1 'id' is not a string: 7",
+        ),
+        (
+            {"nodes": ["x"], "arcs": [{"id": "a", "src": "x", "tgt": False}]},
+            "arc #0 'tgt' is not a string: false",
+        ),
+    ],
+)
+def test_graph_json_rejects_names_that_are_not_strings(payload, message):
+    with pytest.raises(ParseError) as exc:
+        graph_from_dict(payload)
+    assert str(exc.value) == message
+
+
+def test_morphism_and_degeneracy_json_reject_names_that_are_not_strings():
+    c1 = standard_cycle(1)
+    with pytest.raises(ParseError) as exc:
+        morphism_from_dict({"nodes": {"x0": 0}, "arcs": {"a0": "a0"}}, c1, c1)
+    assert str(exc.value) == "image of node 'x0' is not a string: 0"
+    with pytest.raises(ParseError) as exc:
+        morphism_from_dict({"nodes": {"x0": "x0"}, "arcs": {"a0": None}}, c1, c1)
+    assert str(exc.value) == "image of arc 'a0' is not a string: null"
+    payload = {
+        "nodes": ["x"],
+        "arcs": [{"id": "l", "src": "x", "tgt": "x"}],
+        "degeneracies": {"x": 0},
+    }
+    with pytest.raises(ParseError) as exc:
+        reflexive_from_dict(payload)
+    assert str(exc.value) == "degeneracy of 'x' is not a string: 0"
 
 
 def test_parsed_graph_equals_and_hashes_like_a_built_one():

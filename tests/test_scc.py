@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given
 
-from hog.core import Arc, build_graph, standard_cycle, standard_path
+from hog.core import Arc, build_graph, induced_subgraph, standard_cycle, standard_path
 from hog.enumeration import connected_small_graphs, small_graphs
 from hog.errors import EmptyGraphError
 from hog.scc import (
@@ -91,7 +91,7 @@ def test_component_subgraph_strong_connectivity():
     )
     dec = scc_decompose(g)
     for i, comp in enumerate(dec.components):
-        sub = dec.subgraph(i).as_graph()
+        sub = induced_subgraph(g, comp)
         if len(sub.nodes) >= 2 or sub.arcs:
             assert is_strongly_connected(sub)
 

@@ -1,4 +1,5 @@
-"""Rules that every module of the hog package keeps."""
+"""Rules that every module of the hog package keeps, and the scripts too
+where a rule says so."""
 
 import ast
 from pathlib import Path
@@ -6,10 +7,11 @@ from pathlib import Path
 import hog
 
 SOURCES = sorted(Path(hog.__file__).parent.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
-def _nodes():
-    for path in SOURCES:
+def _nodes(paths=SOURCES):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             yield path, node
 
@@ -17,9 +19,11 @@ def _nodes():
 def test_no_assert_statements():
     # python -O strips assert statements, so no check may rest on one.
     found = [
-        f"{path.name}:{node.lineno}" for path, node in _nodes() if isinstance(node, ast.Assert)
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes(SOURCES + SCRIPTS)
+        if isinstance(node, ast.Assert)
     ]
-    assert SOURCES
+    assert SOURCES and SCRIPTS
     assert found == []
 
 
