@@ -64,7 +64,7 @@ _EXPORTS = {
         "is_weak_equivalence",
         "is_weak_equivalence_cycles_only",
     ),
-    "pagerank": ("connectivity_report", "markov_from_graph"),
+    "pagerank": ("connectivity_report",),
     "reflexive": (
         "ReflexiveGraph",
         "ReflexiveMorphism",

@@ -18,7 +18,6 @@ columns, and the lookup tables a graph builds on first use (``node_index``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import and_, itemgetter
@@ -47,19 +46,27 @@ _arc_id, _arc_src, _arc_tgt = itemgetter(0), itemgetter(1), itemgetter(2)
 _PLAIN_ARC_TYPES = {Arc, tuple, list}
 
 
-@dataclass(frozen=True, init=False, repr=False)
+def _read_only(record: object, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the records that keep their
+    fields in the instance dict: the constructor sets them once."""
+    raise AttributeError(f"{type(record).__name__} is immutable: cannot change {name!r}")
+
+
 class DirectedGraph:
     """Finite directed multigraph with named nodes and arcs.
 
     ``DirectedGraph(nodes, arcs)`` takes ``Arc`` values, (id, src, tgt)
     triples or lists; ``graph_from_columns`` takes the three columns.  Both
     validate alike and raise for the first faulty node or arc in input order.
+    Two graphs are equal when their nodes and arc columns are.
     """
 
     nodes: tuple[str, ...]
     arc_ids: tuple[str, ...]
     arc_srcs: tuple[str, ...]
     arc_tgts: tuple[str, ...]
+
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(
         self, nodes: Iterable[str] = (), arcs: Iterable[Arc | Sequence[str]] = ()
@@ -87,6 +94,13 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(nodes={self.nodes!r}, arcs={self.arcs!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.arc_ids, self.arc_srcs, self.arc_tgts) == (
+            other.nodes, other.arc_ids, other.arc_srcs, other.arc_tgts
+        )
 
     @cached_property
     def _hash(self) -> int:
@@ -161,8 +175,8 @@ def _fill(
     tgts: tuple[str, ...],
 ) -> None:
     """Set the fields of a new graph and validate them."""
-    # One dict update in place of four object.__setattr__ calls on the
-    # frozen instance: small graphs are built by the thousand.
+    # ``__setattr__`` refuses every assignment, so the fields go straight
+    # into the instance dict, all four in one update.
     vars(g).update(nodes=nodes, arc_ids=ids, arc_srcs=srcs, arc_tgts=tgts)
     node_set = set(nodes)
     if (
@@ -302,7 +316,6 @@ def _chain_positions(g: DirectedGraph, arc_ids: tuple[str, ...]) -> list[int]:
     return ks
 
 
-@dataclass(frozen=True)
 class Walk:
     """Open walk: consecutive arcs; nodes may repeat.
 
@@ -311,23 +324,40 @@ class Walk:
     """
 
     graph: DirectedGraph
-    arcs: tuple[str, ...] = ()
-    start: str | None = None
+    arcs: tuple[str, ...]
+    start: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        g = self.graph
-        ks = _chain_positions(g, self.arcs)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self, graph: DirectedGraph, arcs: Iterable[str] = (), start: str | None = None
+    ) -> None:
+        arcs = tuple(arcs)
+        ks = _chain_positions(graph, arcs)
         if ks:
-            derived = g.arc_srcs[ks[0]]
-            if self.start is not None and self.start != derived:
+            derived = graph.arc_srcs[ks[0]]
+            if start is not None and start != derived:
                 raise ValidationError(
-                    f"start {self.start!r} does not match first arc source {derived!r}"
+                    f"start {start!r} does not match first arc source {derived!r}"
                 )
-            object.__setattr__(self, "start", derived)
-        else:
-            if self.start is None or not g.has_node(self.start):
-                raise ValidationError("empty walk needs an existing start node")
+            start = derived
+        elif start is None or not graph.has_node(start):
+            raise ValidationError("empty walk needs an existing start node")
+        vars(self).update(graph=graph, arcs=arcs, start=start)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(graph={self.graph!r}, arcs={self.arcs!r}, "
+            f"start={self.start!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.arcs, self.start) == (other.graph, other.arcs, other.start)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.arcs, self.start))
 
     @property
     def length(self) -> int:
@@ -352,7 +382,6 @@ class Walk:
         return len(set(self.visits)) == len(self.visits)
 
 
-@dataclass(frozen=True)
 class ClosedWalk:
     """Based closed walk: consecutive arcs returning to the start node.
 
@@ -363,27 +392,44 @@ class ClosedWalk:
     """
 
     graph: DirectedGraph
-    arcs: tuple[str, ...] = ()
-    base: str | None = None
+    arcs: tuple[str, ...]
+    base: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        g = self.graph
-        ks = _chain_positions(g, self.arcs)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self, graph: DirectedGraph, arcs: Iterable[str] = (), base: str | None = None
+    ) -> None:
+        arcs = tuple(arcs)
+        ks = _chain_positions(graph, arcs)
         if ks:
-            derived, last = g.arc_srcs[ks[0]], g.arc_tgts[ks[-1]]
+            derived, last = graph.arc_srcs[ks[0]], graph.arc_tgts[ks[-1]]
             if last != derived:
                 raise ValidationError(
                     f"walk does not close: last target {last!r}, first source {derived!r}"
                 )
-            if self.base is not None and self.base != derived:
+            if base is not None and base != derived:
                 raise ValidationError(
-                    f"base {self.base!r} does not match first arc source {derived!r}"
+                    f"base {base!r} does not match first arc source {derived!r}"
                 )
-            object.__setattr__(self, "base", derived)
-        else:
-            if self.base is None or not g.has_node(self.base):
-                raise ValidationError("empty closed walk needs an existing base node")
+            base = derived
+        elif base is None or not graph.has_node(base):
+            raise ValidationError("empty closed walk needs an existing base node")
+        vars(self).update(graph=graph, arcs=arcs, base=base)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(graph={self.graph!r}, arcs={self.arcs!r}, "
+            f"base={self.base!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.arcs, self.base) == (other.graph, other.arcs, other.base)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.arcs, self.base))
 
     @property
     def length(self) -> int:
@@ -422,18 +468,29 @@ class ClosedWalk:
         return GraphMorphism(cyc, self.graph, node_map, arc_map)
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
-    """Node map plus arc map commuting with source and target."""
-
+class _GraphMorphismFields(NamedTuple):
     domain: DirectedGraph
     codomain: DirectedGraph
-    node_map: Mapping[str, str]
-    arc_map: Mapping[str, str]
+    node_map: dict[str, str]
+    arc_map: dict[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_map", dict(self.node_map))
-        object.__setattr__(self, "arc_map", dict(self.arc_map))
+
+class GraphMorphism(_GraphMorphismFields):
+    """Node map plus arc map commuting with source and target.
+
+    The morphism keeps its own copies of the two maps.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        domain: DirectedGraph,
+        codomain: DirectedGraph,
+        node_map: Mapping[str, str],
+        arc_map: Mapping[str, str],
+    ) -> GraphMorphism:
+        return tuple.__new__(cls, (domain, codomain, dict(node_map), dict(arc_map)))
 
     def violations(self) -> list[str]:
         """All ways this fails to be a morphism (empty list when valid): the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import homotopy
 from .core import ClosedWalk, DirectedGraph, graph_from_columns, standard_cycle
@@ -21,28 +21,24 @@ from .errors import NoArcsError, NotEulerianError, NotStronglyConnectedError
 from .scc import is_connected, is_strongly_connected
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     is_eulerian: bool
     connected: bool
     balance_violations: tuple[tuple[str, int, int], ...]
     cycle: ClosedWalk | None = None
 
 
-@dataclass(frozen=True)
-class GlueStep:
+class GlueStep(NamedTuple):
     first: str
     second: str
 
 
-@dataclass(frozen=True)
-class AttachStep:
+class AttachStep(NamedTuple):
     node: str
     length: int
 
 
-@dataclass(frozen=True, eq=False)
-class AttachmentDecomposition:
+class AttachmentDecomposition(NamedTuple):
     """Construction script: start from a cycle, then glue nodes / attach cycles.
 
     Step node ids refer to the replayed graph as it exists when the step runs;

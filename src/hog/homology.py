@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import euler
 from .core import ClosedWalk, DirectedGraph
@@ -50,16 +49,18 @@ def _nonzero_integers(
     return {key: c for key, c in coefficients.items() if c}
 
 
-@dataclass(frozen=True)
-class ArcChain:
-    """Finitely supported integer vector over the arcs (zero entries dropped)."""
-
+class _ChainFields(NamedTuple):
     graph: DirectedGraph
     coefficients: dict[str, int]
 
-    def __post_init__(self) -> None:
-        clean = _nonzero_integers(self.coefficients, self.graph.arc_position)
-        object.__setattr__(self, "coefficients", clean)
+
+class ArcChain(_ChainFields):
+    """Finitely supported integer vector over the arcs (zero entries dropped)."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: DirectedGraph, coefficients: Mapping[str, int]) -> ArcChain:
+        return tuple.__new__(cls, (graph, _nonzero_integers(coefficients, graph.arc_position)))
 
     @property
     def is_positive(self) -> bool:
@@ -77,27 +78,22 @@ class ArcChain:
         return ArcChain(self.graph, dict(merged))
 
 
-@dataclass(frozen=True)
-class NodeChain:
-    graph: DirectedGraph
-    coefficients: dict[str, int]
+class NodeChain(_ChainFields):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, graph: DirectedGraph, coefficients: Mapping[str, int]) -> NodeChain:
         # out_arc_ids raises UnknownNodeError for a node outside the graph
-        clean = _nonzero_integers(self.coefficients, self.graph.out_arc_ids)
-        object.__setattr__(self, "coefficients", clean)
+        return tuple.__new__(cls, (graph, _nonzero_integers(coefficients, graph.out_arc_ids)))
 
 
-@dataclass(frozen=True, eq=False)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     h0_rank: int
     h1_rank: int
     h1_basis: tuple[ArcChain, ...]
     component_count: int
 
 
-@dataclass(frozen=True, eq=False)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     cycles: tuple[ClosedWalk, ...]
     multiplicities: tuple[int, ...]
 

@@ -21,14 +21,15 @@ in the decomposition cache builds no per-graph set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import eq
+from typing import NamedTuple
 
 from .core import (
     ClosedWalk,
     DirectedGraph,
     GraphMorphism,
     Walk,
+    _read_only,
     graph_from_columns,
     select_arcs,
 )
@@ -46,12 +47,27 @@ from .scc import SccDecomposition, _UnionFind, scc_decompose
 DEFAULT_HOM_CAP = 10**6
 
 
-@dataclass(frozen=True)
 class HomSet:
     """All based closed walks of one length; rotations are distinct elements."""
 
     n: int
     morphisms: tuple[ClosedWalk, ...]
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, n: int, morphisms: tuple[ClosedWalk, ...]) -> None:
+        vars(self).update(n=n, morphisms=morphisms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, morphisms={self.morphisms!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.morphisms) == (other.n, other.morphisms)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.morphisms))
 
     def __len__(self) -> int:
         return len(self.morphisms)
@@ -60,8 +76,7 @@ class HomSet:
         return iter(self.morphisms)
 
 
-@dataclass(frozen=True)
-class WeakEquivalenceVerdict:
+class WeakEquivalenceVerdict(NamedTuple):
     is_weak_equivalence: bool
     component_matching: tuple[tuple[int, int], ...] | None = None
     witness: str | None = None
@@ -70,8 +85,7 @@ class WeakEquivalenceVerdict:
         return self.is_weak_equivalence
 
 
-@dataclass(frozen=True)
-class HomBijectionReport:
+class HomBijectionReport(NamedTuple):
     """Whether composition with a morphism is a bijection on length-n walks."""
 
     n: int

@@ -1,71 +1,36 @@
-"""Random-walk transition matrix and damped power-iteration scores.
+"""Damped power-iteration scores of the random walk, and a component census.
 
-Columns are normalized (column j holds the out-probabilities of node j), so
-the score vector is a right fixed vector of the damped matrix.  Dangling
-nodes get uniform columns, the standard fix that keeps the matrix stochastic.
+The walk's transition matrix is column-normalized (column j holds the
+out-probabilities of node j), so the score vector is a right fixed vector of
+the damped matrix.  Dangling nodes get uniform columns, the standard fix that
+keeps the matrix stochastic.
 
 ``pagerank`` never forms that matrix: each step spreads every node's score
 over its out-arcs and the dangling mass over all nodes, in O(V + E) time and
-memory.  ``markov_from_graph`` builds the dense n x n matrix as the small-n
-reference.  numpy is imported only when one of the two runs.
+memory.  numpy is imported only when it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .core import DirectedGraph
 from .errors import EmptyGraphError, NoConvergenceError, ValidationError
 from .scc import scc_decompose
 
-if TYPE_CHECKING:
-    import numpy as np
 
-
-@dataclass(frozen=True, eq=False)
-class MarkovMatrix:
-    order: int
-    entries: np.ndarray
-    index: dict[str, int]
-    column_stochastic: bool = True
-
-
-@dataclass(frozen=True, eq=False)
-class RankVector:
+class RankVector(NamedTuple):
     scores: dict[str, float]
     iterations: int
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     node_count: int
     component_count: int
     largest_component_size: int
     largest_component_fraction: float
     irreducible: bool
-
-
-def markov_from_graph(g: DirectedGraph) -> MarkovMatrix:
-    """Column-stochastic transition matrix; parallel arcs add probability mass."""
-    import numpy as np
-
-    if not g.nodes:
-        raise EmptyGraphError("cannot normalize an empty graph")
-    n = len(g.nodes)
-    idx = g.node_index
-    counts = np.zeros((n, n), dtype=np.float64)
-    for src, tgt in zip(g.arc_srcs, g.arc_tgts):
-        counts[idx[tgt], idx[src]] += 1.0
-    sums = counts.sum(axis=0)
-    entries = np.empty_like(counts)
-    for j in range(n):
-        if sums[j] == 0.0:
-            entries[:, j] = 1.0 / n
-        else:
-            entries[:, j] = counts[:, j] / sums[j]
-    return MarkovMatrix(n, entries, dict(idx))
 
 
 def pagerank(
@@ -77,8 +42,8 @@ def pagerank(
     """Power iteration on the damped transition matrix until the L1 step
     shrinks below tol.  Deterministic: fixed start, fixed accumulation order.
 
-    Each step runs on the arc list, so the matrix of ``markov_from_graph`` is
-    never built; parallel arcs add mass and dangling nodes spread uniformly.
+    Each step runs on the arc list, so the n x n matrix is never built;
+    parallel arcs add mass and dangling nodes spread uniformly.
     """
     if not 0.0 < damping < 1.0:
         raise ValidationError("damping must lie strictly between 0 and 1")

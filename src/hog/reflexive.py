@@ -11,38 +11,49 @@ weak-equivalence verdict is the ordinary one on the underlying graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import not_
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import homotopy
-from .core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, graph_from_columns, select_arcs
+from .core import (
+    Arc,
+    ClosedWalk,
+    DirectedGraph,
+    GraphMorphism,
+    _read_only,
+    graph_from_columns,
+    select_arcs,
+)
 from .errors import InvalidMorphismError, ValidationError
 from .homotopy import HomSet, WeakEquivalenceVerdict
 from .scc import scc_decompose
 
 
-@dataclass(frozen=True)
 class ReflexiveGraph:
     """Directed multigraph plus one marked self-loop per node.
 
     ``graph`` is the underlying directed graph, built and validated once.
+    Two reflexive graphs are equal when their nodes, arcs and degeneracy are.
     """
 
     nodes: tuple[str, ...]
     arcs: tuple[Arc, ...]
-    degeneracy: Mapping[str, str]
-    graph: DirectedGraph = field(init=False, repr=False, compare=False)
+    degeneracy: dict[str, str]
+    graph: DirectedGraph
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degeneracy", dict(self.degeneracy))
-        g = DirectedGraph(self.nodes, self.arcs)
-        object.__setattr__(self, "graph", g)
-        object.__setattr__(self, "nodes", g.nodes)
-        object.__setattr__(self, "arcs", g.arcs)
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        nodes: Iterable[str],
+        arcs: Iterable[Arc | Sequence[str]],
+        degeneracy: Mapping[str, str],
+    ) -> None:
+        degeneracy = dict(degeneracy)
+        g = DirectedGraph(nodes, arcs)
         seen_loops: set[str] = set()
         for n in g.nodes:
-            loop = self.degeneracy.get(n)
+            loop = degeneracy.get(n)
             if loop is None:
                 raise ValidationError(f"node {n!r} has no degenerate loop")
             k = g.arc_position(loop)
@@ -53,27 +64,52 @@ class ReflexiveGraph:
             if loop in seen_loops:
                 raise ValidationError(f"arc {loop!r} marked degenerate twice")
             seen_loops.add(loop)
-        extra = set(self.degeneracy) - set(g.nodes)
+        extra = set(degeneracy) - set(g.nodes)
         if extra:
             raise ValidationError(f"degeneracy entries for unknown nodes {sorted(extra)}")
+        vars(self).update(nodes=g.nodes, arcs=g.arcs, degeneracy=degeneracy, graph=g)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(nodes={self.nodes!r}, arcs={self.arcs!r}, "
+            f"degeneracy={self.degeneracy!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.arcs, self.degeneracy) == (
+            other.nodes, other.arcs, other.degeneracy
+        )
 
     @property
     def degenerate_arc_ids(self) -> frozenset[str]:
         return frozenset(self.degeneracy.values())
 
 
-@dataclass(frozen=True)
-class ReflexiveMorphism:
-    """Morphism of reflexive graphs: commutes with source, target, degeneracy."""
-
+class _ReflexiveMorphismFields(NamedTuple):
     domain: ReflexiveGraph
     codomain: ReflexiveGraph
-    node_map: Mapping[str, str]
-    arc_map: Mapping[str, str]
+    node_map: dict[str, str]
+    arc_map: dict[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "node_map", dict(self.node_map))
-        object.__setattr__(self, "arc_map", dict(self.arc_map))
+
+class ReflexiveMorphism(_ReflexiveMorphismFields):
+    """Morphism of reflexive graphs: commutes with source, target, degeneracy.
+
+    The morphism keeps its own copies of the two maps.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        domain: ReflexiveGraph,
+        codomain: ReflexiveGraph,
+        node_map: Mapping[str, str],
+        arc_map: Mapping[str, str],
+    ) -> ReflexiveMorphism:
+        return tuple.__new__(cls, (domain, codomain, dict(node_map), dict(arc_map)))
 
     def underlying(self) -> GraphMorphism:
         return GraphMorphism(

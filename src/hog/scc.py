@@ -7,13 +7,12 @@ Components are listed in reverse topological order of the condensation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
 from operator import eq, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
-from .core import DirectedGraph, graph_from_columns
+from .core import DirectedGraph, _read_only, graph_from_columns
 from .errors import EmptyGraphError
 
 
@@ -27,12 +26,36 @@ class ComponentTable(NamedTuple):
     cyclic: tuple[int, ...]  # the components that contain an arc
 
 
-@dataclass(frozen=True, eq=False)
 class SccDecomposition:
+    """The components of one graph, the component of each node, and the
+    condensation.  Compares by identity, like the cached result it is."""
+
     graph: DirectedGraph
     components: tuple[tuple[str, ...], ...]
     component_of: dict[str, int]
     condensation: DirectedGraph
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(
+        self,
+        graph: DirectedGraph,
+        components: tuple[tuple[str, ...], ...],
+        component_of: dict[str, int],
+        condensation: DirectedGraph,
+    ) -> None:
+        vars(self).update(
+            graph=graph,
+            components=components,
+            component_of=component_of,
+            condensation=condensation,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(graph={self.graph!r}, components={self.components!r}, "
+            f"component_of={self.component_of!r}, condensation={self.condensation!r})"
+        )
 
     @cached_property
     def table(self) -> ComponentTable:

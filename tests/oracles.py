@@ -18,16 +18,23 @@ inner-arc buckets, the acyclicity test and the cofibrant core as they were
 while every per-arc pass was a Python loop with string-keyed lookups, and
 ``euler_cycle`` and the postman splice as they were while they spliced whole
 validated walks.
+
+``markov_from_graph`` builds PageRank's dense column-stochastic transition
+matrix, the small-n reference for the arc-list iteration.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import TYPE_CHECKING, NamedTuple
 
 from hog.core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, standard_cycle
-from hog.errors import NotConnectedError, ParseError
+from hog.errors import EmptyGraphError, NotConnectedError, ParseError
 from hog.homotopy import WeakEquivalenceVerdict
 from hog.scc import SccDecomposition, scc_decompose
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def scc_by_transitive_closure(g: DirectedGraph) -> set[frozenset[str]]:
@@ -482,3 +489,30 @@ def euler_cycle_by_walk_splicing(g: DirectedGraph) -> ClosedWalk:
     for cyc in cycles[1:]:
         walk = _splice_walks(walk, cyc, cyc.base)
     return walk
+
+
+class MarkovMatrix(NamedTuple):
+    order: int
+    entries: np.ndarray
+    index: dict[str, int]
+
+
+def markov_from_graph(g: DirectedGraph) -> MarkovMatrix:
+    """Column-stochastic transition matrix; parallel arcs add probability mass."""
+    import numpy as np
+
+    if not g.nodes:
+        raise EmptyGraphError("cannot normalize an empty graph")
+    n = len(g.nodes)
+    idx = g.node_index
+    counts = np.zeros((n, n), dtype=np.float64)
+    for src, tgt in zip(g.arc_srcs, g.arc_tgts):
+        counts[idx[tgt], idx[src]] += 1.0
+    sums = counts.sum(axis=0)
+    entries = np.empty_like(counts)
+    for j in range(n):
+        if sums[j] == 0.0:
+            entries[:, j] = 1.0 / n
+        else:
+            entries[:, j] = counts[:, j] / sums[j]
+    return MarkovMatrix(n, entries, dict(idx))

@@ -36,7 +36,7 @@ from hog.homotopy import (
     enumerate_hom_cycles,
     is_weak_equivalence,
 )
-from hog.pagerank import markov_from_graph, pagerank
+from hog.pagerank import pagerank
 from hog.reflexive import (
     ReflexiveMorphism,
     add_degeneracies,
@@ -49,6 +49,7 @@ from hog.scc import is_acyclic, is_connected, scc_decompose
 from oracles import (
     arc_bijective_closed_walk_exists,
     incidence_kernel_rank_sympy,
+    markov_from_graph,
     min_covering_closed_walk_length,
 )
 

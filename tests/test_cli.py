@@ -378,15 +378,18 @@ def test_pagerank_bad_parameters_exit_2(capsys, c3_file, flags, message):
     assert "Traceback" not in err
 
 
-NUMPY_PROBE = """
+# Which of numpy and dataclasses are loaded after import and after each run.
+STDLIB_PROBE = """
 import contextlib, io, json, sys
 import hog, hog.cli
-loaded = {"import": "numpy" in sys.modules}
+def seen():
+    return [name for name in ("numpy", "dataclasses") if name in sys.modules]
+loaded = {"import": seen()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = hog.cli.main(argv)
     assert code == 0, (argv, code)
-    loaded[" ".join(argv[:2])] = "numpy" in sys.modules
+    loaded[" ".join(argv[:2])] = seen()
 print(json.dumps(loaded))
 """
 
@@ -441,10 +444,13 @@ def _every_subcommand(tmp_path):
 
 def test_only_pagerank_imports_numpy(tmp_path):
     runs = _every_subcommand(tmp_path)
-    proc = _python(["-c", NUMPY_PROBE, json.dumps(runs)], tmp_path)
+    proc = _python(["-c", STDLIB_PROBE, json.dumps(runs)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded.pop("pagerank c3.json") is True
+    # The probe runs every subcommand in one interpreter, so pagerank comes
+    # last: no other subcommand loads numpy, and none loads dataclasses.
+    assert list(loaded)[-1] == "pagerank c3.json"
+    assert loaded.pop("pagerank c3.json") == ["numpy"]
     assert not any(loaded.values()), loaded
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -24,6 +25,7 @@ from hog.core import (
 from hog.errors import (
     DanglingEndpointError,
     DuplicateIdError,
+    InvalidMorphismError,
     UnknownArcError,
     UnknownNodeError,
     ValidationError,
@@ -154,6 +156,129 @@ def test_graph_repr_lists_the_arcs_as_arc_values():
         "Arc(id='l', src='y', tgt='y')))"
     )
     assert repr(DirectedGraph()) == "DirectedGraph(nodes=(), arcs=())"
+
+
+def _one_of_each_record():
+    """Record type name -> (a small value of it, one of its field names)."""
+    from hog import euler, homology, homotopy, pagerank, reflexive, scc
+
+    g = DirectedGraph(["x"], [("a", "x", "x")])
+    f = GraphMorphism.identity(g)
+    chain = homology.fundamental_chain(g)
+    values = [
+        (Walk(g, ("a",)), "start"),
+        (ClosedWalk(g, ("a",)), "base"),
+        (f, "node_map"),
+        (scc.scc_decompose(g), "components"),
+        (homotopy.enumerate_hom_cycles(g, 1), "morphisms"),
+        (homotopy.is_weak_equivalence(f), "witness"),
+        (homotopy.brute_force_weq_check(f, 0)[0], "n"),
+        (euler.euler_check(g), "cycle"),
+        (euler.GlueStep("x", "y"), "first"),
+        (euler.AttachStep("x", 2), "length"),
+        (euler.euler_decompose(g), "steps"),
+        (chain, "coefficients"),
+        (homology.boundary_1(chain), "coefficients"),
+        (homology.homology_summary(g), "h1_rank"),
+        (homology.decompose_positive_chain(chain), "cycles"),
+        (pagerank.pagerank(g), "scores"),
+        (pagerank.connectivity_report(g), "irreducible"),
+        (reflexive.add_degeneracies(g), "graph"),
+        (reflexive.lift_morphism(f), "arc_map"),
+        (g, "nodes"),
+    ]
+    return {type(value).__name__: (value, field) for value, field in values}
+
+
+def test_record_reprs_name_every_field():
+    g = "DirectedGraph(nodes=('x',), arcs=(Arc(id='a', src='x', tgt='x'),))"
+    loop = f"ClosedWalk(graph={g}, arcs=('a',), base='x')"
+    chain = f"ArcChain(graph={g}, coefficients={{'a': 1}})"
+    rg = (
+        "ReflexiveGraph(nodes=('x',), arcs=(Arc(id='a', src='x', tgt='x'), "
+        "Arc(id='loop_x', src='x', tgt='x')), degeneracy={'x': 'loop_x'})"
+    )
+    expected = {
+        "Walk": f"Walk(graph={g}, arcs=('a',), start='x')",
+        "ClosedWalk": loop,
+        "GraphMorphism": (
+            f"GraphMorphism(domain={g}, codomain={g}, node_map={{'x': 'x'}}, arc_map={{'a': 'a'}})"
+        ),
+        "SccDecomposition": (
+            f"SccDecomposition(graph={g}, components=(('x',),), component_of={{'x': 0}}, "
+            "condensation=DirectedGraph(nodes=('0',), arcs=()))"
+        ),
+        "HomSet": f"HomSet(n=1, morphisms=({loop},))",
+        "WeakEquivalenceVerdict": (
+            "WeakEquivalenceVerdict(is_weak_equivalence=True, component_matching=((0, 0),), "
+            "witness=None)"
+        ),
+        "HomBijectionReport": (
+            "HomBijectionReport(n=0, domain_count=1, codomain_count=1, distinct_images=1)"
+        ),
+        "EulerReport": (
+            "EulerReport(is_eulerian=True, connected=True, balance_violations=(), cycle=None)"
+        ),
+        "GlueStep": "GlueStep(first='x', second='y')",
+        "AttachStep": "AttachStep(node='x', length=2)",
+        "AttachmentDecomposition": (
+            "AttachmentDecomposition(base_length=1, steps=(), node_correspondence={'x0': 'x'})"
+        ),
+        "ArcChain": chain,
+        "NodeChain": f"NodeChain(graph={g}, coefficients={{}})",
+        "HomologySummary": (
+            f"HomologySummary(h0_rank=0, h1_rank=1, h1_basis=({chain},), component_count=1)"
+        ),
+        "CycleDecomposition": f"CycleDecomposition(cycles=({loop},), multiplicities=(1,))",
+        "RankVector": "RankVector(scores={'x': 1.0}, iterations=1, residual=0.0)",
+        "ConnectivityReport": (
+            "ConnectivityReport(node_count=1, component_count=1, largest_component_size=1, "
+            "largest_component_fraction=1.0, irreducible=True)"
+        ),
+        "ReflexiveGraph": rg,
+        "ReflexiveMorphism": (
+            f"ReflexiveMorphism(domain={rg}, codomain={rg}, node_map={{'x': 'x'}}, "
+            "arc_map={'a': 'a', 'loop_x': 'loop_x'})"
+        ),
+        "DirectedGraph": g,
+    }
+    assert {name: repr(value) for name, (value, _) in _one_of_each_record().items()} == expected
+
+
+@pytest.mark.parametrize("name", sorted(_one_of_each_record()))
+def test_records_are_immutable_and_survive_pickling(name):
+    value, field = _one_of_each_record()[name]
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and repr(back) == repr(value)
+    # A decomposition compares by identity: an equal graph finds the cached
+    # one, and a pickled one is another object.  Every other record compares
+    # by value.
+    assert _one_of_each_record()[name][0] == value
+    assert (back == value) is (name != "SccDecomposition")
+
+
+def test_morphism_keeps_its_own_maps():
+    c3 = standard_cycle(3)
+    node_map = {"x0": "x1", "x1": "x2", "x2": "x0"}
+    arc_map = {"a0": "a1", "a1": "a2", "a2": "a0"}
+    rotation = GraphMorphism(c3, c3, node_map, arc_map)
+    node_map["x0"], arc_map["a0"] = "x0", "a0"
+    assert rotation.node_map["x0"] == "x1" and rotation.arc_map["a0"] == "a1"
+    assert rotation.is_valid()
+
+
+def test_compose_compares_graphs_by_value():
+    c3, c4 = standard_cycle(3), standard_cycle(4)
+    copy_of_c3 = graph_from_columns(c3.nodes, c3.arc_ids, c3.arc_srcs, c3.arc_tgts)
+    f = GraphMorphism.identity(c3)
+    assert copy_of_c3 is not c3 and f.compose(GraphMorphism.identity(copy_of_c3)) == f
+    with pytest.raises(InvalidMorphismError) as exc:
+        f.compose(GraphMorphism.identity(c4))
+    assert str(exc.value) == "composition mismatch: inner codomain != outer domain"
 
 
 def test_arc_columns_must_have_one_length():

@@ -139,6 +139,17 @@ def test_morphism_must_respect_degeneracies():
         is_weak_equivalence_reflexive(bad)
 
 
+def test_reflexive_records_keep_their_own_maps():
+    degeneracy = {"x0": "loop_x0"}
+    rg = ReflexiveGraph(("x0",), (("a0", "x0", "x0"), ("loop_x0", "x0", "x0")), degeneracy)
+    node_map, arc_map = {"x0": "x0"}, {"a0": "a0", "loop_x0": "loop_x0"}
+    f = ReflexiveMorphism(rg, rg, node_map, arc_map)
+    degeneracy["x0"], node_map["x0"], arc_map["a0"] = "a0", "y", "loop_x0"
+    assert rg.degeneracy == {"x0": "loop_x0"} and rg == add_degeneracies(standard_cycle(1))
+    assert f.node_map == {"x0": "x0"} and f.arc_map == {"a0": "a0", "loop_x0": "loop_x0"}
+    assert f.is_valid() and is_weak_equivalence_reflexive(f)
+
+
 @given(quotient_morphisms(max_nodes=4, max_arcs=5))
 def test_lift_agrees_with_plain_verdict(f):
     lifted = lift_morphism(f)

@@ -38,3 +38,15 @@ def test_no_raise_assertion_error():
         if isinstance(node, ast.Raise) and raised_name(node.exc) == "AssertionError"
     ]
     assert found == []
+
+
+def test_no_dataclasses_import():
+    # Importing dataclasses costs every hog process milliseconds before any
+    # class is built, and each dataclass is then generated through exec.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if (isinstance(node, ast.Import) and "dataclasses" in {a.name for a in node.names})
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
