@@ -34,7 +34,6 @@ _EXPORTS = {
     "euler": (
         "AttachmentDecomposition",
         "EulerReport",
-        "covering_cycle",
         "euler_check",
         "euler_cycle",
         "euler_decompose",

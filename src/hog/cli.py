@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any
 
 from . import io
 from .core import Walk, trace_of_power
-from .errors import DomainError, HogError, InputError, ParseError, ValidationError
+from .errors import HogError, InputError, ParseError, ValidationError
 
 if TYPE_CHECKING:
     from .homotopy import WeakEquivalenceVerdict
@@ -56,7 +56,7 @@ def _walk_lines(label: str, arcs: tuple[str, ...], base: str) -> list[str]:
     return [f"{label}: {seq} (base {base})"]
 
 
-def _cmd_scc(args: argparse.Namespace) -> int:
+def _cmd_scc(args: argparse.Namespace) -> None:
     from .scc import scc_decompose
 
     g = io.load_graph(args.graph, args.format)
@@ -72,7 +72,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
     cond = dec.condensation
     lines.extend(f"{src} {tgt}" for src, tgt in zip(cond.arc_srcs, cond.arc_tgts))
     _emit(args, payload, lines)
-    return 0
 
 
 def _verdict_output(
@@ -93,7 +92,7 @@ def _verdict_output(
     return payload, lines
 
 
-def _cmd_weq(args: argparse.Namespace) -> int:
+def _cmd_weq(args: argparse.Namespace) -> None:
     from . import homotopy
 
     dom = io.load_graph(args.domain, "auto")
@@ -125,10 +124,9 @@ def _cmd_weq(args: argparse.Namespace) -> int:
             for r in reports
         )
     _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_cofibrant(args: argparse.Namespace) -> int:
+def _cmd_cofibrant(args: argparse.Namespace) -> None:
     from . import homotopy
 
     g = io.load_graph(args.graph, args.format)
@@ -143,64 +141,46 @@ def _cmd_cofibrant(args: argparse.Namespace) -> int:
         "kept: " + " ".join(core.arc_ids),
     ]
     _emit(args, payload, lines)
-    return 0
 
 
-def _surgery_payload(result, morphism) -> dict[str, Any]:
-    return {"graph": io.graph_to_dict(result), "morphism": io.morphism_to_dict(morphism)}
+def _emit_surgery(args: argparse.Namespace, result, morphism, summary: str) -> None:
+    _emit(
+        args,
+        {"graph": io.graph_to_dict(result), "morphism": io.morphism_to_dict(morphism)},
+        [summary, f"nodes: {len(result.nodes)}  arcs: {len(result.arc_ids)}"],
+    )
 
 
-def _cmd_glue_nodes(args: argparse.Namespace) -> int:
+def _cmd_glue_nodes(args: argparse.Namespace) -> None:
     from . import homotopy
 
     g = io.load_graph(args.graph, args.format)
     result, morphism = homotopy.glue_nodes(g, args.x, args.y)
-    _emit(
-        args,
-        _surgery_payload(result, morphism),
-        [
-            f"merged {args.x} and {args.y} into {morphism.node_map[args.x]}",
-            f"nodes: {len(result.nodes)}  arcs: {len(result.arc_ids)}",
-        ],
-    )
-    return 0
+    merged = morphism.node_map[args.x]
+    _emit_surgery(args, result, morphism, f"merged {args.x} and {args.y} into {merged}")
 
 
-def _cmd_attach_cycle(args: argparse.Namespace) -> int:
+def _cmd_attach_cycle(args: argparse.Namespace) -> None:
     from . import homotopy
 
     g = io.load_graph(args.graph, args.format)
     result, morphism = homotopy.attach_cycle(g, args.node, args.length)
-    _emit(
-        args,
-        _surgery_payload(result, morphism),
-        [
-            f"attached a cycle of length {args.length} at {args.node}",
-            f"nodes: {len(result.nodes)}  arcs: {len(result.arc_ids)}",
-        ],
-    )
-    return 0
+    summary = f"attached a cycle of length {args.length} at {args.node}"
+    _emit_surgery(args, result, morphism, summary)
 
 
-def _cmd_glue_paths(args: argparse.Namespace) -> int:
+def _cmd_glue_paths(args: argparse.Namespace) -> None:
     from . import homotopy
 
     g = io.load_graph(args.graph, args.format)
     p1 = Walk(g, tuple(args.path1.split(",")))
     p2 = Walk(g, tuple(args.path2.split(",")))
     result, morphism = homotopy.glue_paths(g, p1, p2)
-    _emit(
-        args,
-        _surgery_payload(result, morphism),
-        [
-            f"glued paths {args.path1} and {args.path2}",
-            f"nodes: {len(result.nodes)}  arcs: {len(result.arc_ids)}",
-        ],
-    )
-    return 0
+    summary = f"glued paths {args.path1} and {args.path2}"
+    _emit_surgery(args, result, morphism, summary)
 
 
-def _cmd_euler(args: argparse.Namespace) -> int:
+def _cmd_euler(args: argparse.Namespace) -> None:
     from . import euler
 
     g = io.load_graph(args.graph, args.format)
@@ -240,10 +220,9 @@ def _cmd_euler(args: argparse.Namespace) -> int:
             else:
                 lines.append(f"attach cycle of length {s.length} at {s.node}")
     _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_homology(args: argparse.Namespace) -> int:
+def _cmd_homology(args: argparse.Namespace) -> None:
     from . import homology
 
     g = io.load_graph(args.graph, args.format)
@@ -269,10 +248,9 @@ def _cmd_homology(args: argparse.Namespace) -> int:
             entries = " ".join(f"{a}:{c}" for a, c in chain.coefficients.items())
             lines.append(f"positive {i}: {entries}")
     _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> None:
     from . import homology
 
     g = io.load_graph(args.graph, args.format)
@@ -289,10 +267,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         for i, (w, m) in enumerate(zip(dec.cycles, dec.multiplicities))
     ]
     _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_postman(args: argparse.Namespace) -> int:
+def _cmd_postman(args: argparse.Namespace) -> None:
     from . import homology
 
     g = io.load_graph(args.graph, args.format)
@@ -304,10 +281,9 @@ def _cmd_postman(args: argparse.Namespace) -> int:
     lines = [f"minimal_length: {minimal}"]
     lines.extend(_walk_lines("walk", walk.arcs, walk.base))
     _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_pagerank(args: argparse.Namespace) -> int:
+def _cmd_pagerank(args: argparse.Namespace) -> None:
     from .pagerank import connectivity_report, pagerank
 
     g = io.load_graph(args.graph, args.format)
@@ -334,10 +310,9 @@ def _cmd_pagerank(args: argparse.Namespace) -> int:
             f"irreducible: {str(rep.irreducible).lower()}"
         )
     _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_hom_count(args: argparse.Namespace) -> int:
+def _cmd_hom_count(args: argparse.Namespace) -> None:
     g = io.load_graph(args.graph, args.format)
     if args.n < 0:
         raise ValidationError("walk length must be >= 0")
@@ -354,10 +329,9 @@ def _cmd_hom_count(args: argparse.Namespace) -> int:
     }
     lines = [f"{n} {c}" for n, c in enumerate(counts)]
     _emit(args, payload, lines)
-    return 0
 
 
-def _cmd_reflexive_add(args: argparse.Namespace) -> int:
+def _cmd_reflexive_add(args: argparse.Namespace) -> None:
     from . import reflexive
 
     g = io.load_graph(args.graph, args.format)
@@ -365,13 +339,12 @@ def _cmd_reflexive_add(args: argparse.Namespace) -> int:
     _emit(
         args,
         {"graph": io.reflexive_to_dict(rg)},
-        [f"nodes: {len(rg.nodes)}  arcs: {len(rg.arcs)} "
+        [f"nodes: {len(rg.nodes)}  arcs: {len(rg.graph.arc_ids)} "
          f"({len(rg.degeneracy)} degenerate)"],
     )
-    return 0
 
 
-def _cmd_reflexive_strip(args: argparse.Namespace) -> int:
+def _cmd_reflexive_strip(args: argparse.Namespace) -> None:
     from . import reflexive
 
     rg = io.load_reflexive(args.graph)
@@ -381,17 +354,15 @@ def _cmd_reflexive_strip(args: argparse.Namespace) -> int:
         {"graph": io.graph_to_dict(g)},
         [f"nodes: {len(g.nodes)}  arcs: {len(g.arc_ids)}"],
     )
-    return 0
 
 
-def _cmd_reflexive_weq(args: argparse.Namespace) -> int:
+def _cmd_reflexive_weq(args: argparse.Namespace) -> None:
     from . import reflexive
 
     dom = io.load_reflexive(args.domain)
     cod = io.load_reflexive(args.codomain)
     f = io.load_morphism(args.morphism, dom, cod)
     _emit(args, *_verdict_output(reflexive.is_weak_equivalence_reflexive(f)))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,9 +470,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        args.handler(args)
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
         # The reader closed the pipe early, as `| head` does: drop the rest
         # of the output, so the flush at exit does not fail again.
@@ -510,12 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except HogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except HogError as exc:  # fallback, should not happen
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

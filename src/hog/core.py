@@ -14,6 +14,11 @@ none, as do ``arc``, ``out_arcs`` and ``in_arcs``, so a graph holds no
 per-arc object for the cyclic garbage collector to walk.  Hot paths read the
 columns, and the lookup tables a graph builds on first use (``node_index``,
 ``arc_index``, the per-node arc ids) hold only strings and ints.
+
+Graphs, walks, hom-sets, decompositions and reflexive graphs derive from
+``_Record``: each names its ``_fields`` and sets them once, in its own
+constructor, and the base gives the repr naming every field, equality and
+hash over the fields, and an ``AttributeError`` on any later assignment.
 """
 
 from __future__ import annotations
@@ -46,13 +51,34 @@ _arc_id, _arc_src, _arc_tgt = itemgetter(0), itemgetter(1), itemgetter(2)
 _PLAIN_ARC_TYPES = {Arc, tuple, list}
 
 
-def _read_only(record: object, name: str, *value: object) -> None:
-    """``__setattr__`` and ``__delattr__`` of the records that keep their
-    fields in the instance dict: the constructor sets them once."""
-    raise AttributeError(f"{type(record).__name__} is immutable: cannot change {name!r}")
+class _Record:
+    """Base of the plain records: repr, equality and hash over ``_fields``,
+    and no assignment after the constructor."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
-class DirectedGraph:
+class DirectedGraph(_Record):
     """Finite directed multigraph with named nodes and arcs.
 
     ``DirectedGraph(nodes, arcs)`` takes ``Arc`` values, (id, src, tgt)
@@ -66,7 +92,7 @@ class DirectedGraph:
     arc_srcs: tuple[str, ...]
     arc_tgts: tuple[str, ...]
 
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("nodes", "arcs")
 
     def __init__(
         self, nodes: Iterable[str] = (), arcs: Iterable[Arc | Sequence[str]] = ()
@@ -91,9 +117,6 @@ class DirectedGraph:
         return tuple(
             list(map(tuple.__new__, repeat(Arc), zip(self.arc_ids, self.arc_srcs, self.arc_tgts)))
         )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(nodes={self.nodes!r}, arcs={self.arcs!r})"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -316,7 +339,27 @@ def _chain_positions(g: DirectedGraph, arc_ids: tuple[str, ...]) -> list[int]:
     return ks
 
 
-class Walk:
+def _walk_origin(
+    graph: DirectedGraph, arcs: tuple[str, ...], given: str | None, closed: bool
+) -> str:
+    """The start of a walk, or the base of a closed one: the source of its
+    first arc, which a given node must match, or else the given node."""
+    ks = _chain_positions(graph, arcs)
+    name = "base" if closed else "start"
+    if not ks:
+        if given is None or not graph.has_node(given):
+            walk = "closed walk" if closed else "walk"
+            raise ValidationError(f"empty {walk} needs an existing {name} node")
+        return given
+    first, last = graph.arc_srcs[ks[0]], graph.arc_tgts[ks[-1]]
+    if closed and last != first:
+        raise ValidationError(f"walk does not close: last target {last!r}, first source {first!r}")
+    if given is not None and given != first:
+        raise ValidationError(f"{name} {given!r} does not match first arc source {first!r}")
+    return first
+
+
+class Walk(_Record):
     """Open walk: consecutive arcs; nodes may repeat.
 
     The empty walk needs an explicit start node; otherwise the start is the
@@ -327,37 +370,13 @@ class Walk:
     arcs: tuple[str, ...]
     start: str
 
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("graph", "arcs", "start")
 
     def __init__(
         self, graph: DirectedGraph, arcs: Iterable[str] = (), start: str | None = None
     ) -> None:
         arcs = tuple(arcs)
-        ks = _chain_positions(graph, arcs)
-        if ks:
-            derived = graph.arc_srcs[ks[0]]
-            if start is not None and start != derived:
-                raise ValidationError(
-                    f"start {start!r} does not match first arc source {derived!r}"
-                )
-            start = derived
-        elif start is None or not graph.has_node(start):
-            raise ValidationError("empty walk needs an existing start node")
-        vars(self).update(graph=graph, arcs=arcs, start=start)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(graph={self.graph!r}, arcs={self.arcs!r}, "
-            f"start={self.start!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.arcs, self.start) == (other.graph, other.arcs, other.start)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.arcs, self.start))
+        vars(self).update(graph=graph, arcs=arcs, start=_walk_origin(graph, arcs, start, False))
 
     @property
     def length(self) -> int:
@@ -382,7 +401,7 @@ class Walk:
         return len(set(self.visits)) == len(self.visits)
 
 
-class ClosedWalk:
+class ClosedWalk(_Record):
     """Based closed walk: consecutive arcs returning to the start node.
 
     A closed walk of length n is exactly a morphism from the standard n-cycle
@@ -395,41 +414,13 @@ class ClosedWalk:
     arcs: tuple[str, ...]
     base: str
 
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("graph", "arcs", "base")
 
     def __init__(
         self, graph: DirectedGraph, arcs: Iterable[str] = (), base: str | None = None
     ) -> None:
         arcs = tuple(arcs)
-        ks = _chain_positions(graph, arcs)
-        if ks:
-            derived, last = graph.arc_srcs[ks[0]], graph.arc_tgts[ks[-1]]
-            if last != derived:
-                raise ValidationError(
-                    f"walk does not close: last target {last!r}, first source {derived!r}"
-                )
-            if base is not None and base != derived:
-                raise ValidationError(
-                    f"base {base!r} does not match first arc source {derived!r}"
-                )
-            base = derived
-        elif base is None or not graph.has_node(base):
-            raise ValidationError("empty closed walk needs an existing base node")
-        vars(self).update(graph=graph, arcs=arcs, base=base)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(graph={self.graph!r}, arcs={self.arcs!r}, "
-            f"base={self.base!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.graph, self.arcs, self.base) == (other.graph, other.arcs, other.base)
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.arcs, self.base))
+        vars(self).update(graph=graph, arcs=arcs, base=_walk_origin(graph, arcs, base, True))
 
     @property
     def length(self) -> int:

@@ -1,5 +1,5 @@
 """Eulerian circuits: degree-balance criterion, deterministic Hierholzer-style
-construction, covering closed walks, and cycle-attachment decompositions.
+construction, and cycle-attachment decompositions.
 
 The construction mirrors the balance argument: extract an arc-injective cycle
 by always leaving along the smallest-id unused arc (equal in/out degrees mean
@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 from . import homotopy
 from .core import ClosedWalk, DirectedGraph, graph_from_columns, standard_cycle
-from .errors import NoArcsError, NotEulerianError, NotStronglyConnectedError
-from .scc import is_connected, is_strongly_connected
+from .errors import NoArcsError, NotEulerianError
+from .scc import is_connected
 
 
 class EulerReport(NamedTuple):
@@ -148,11 +148,7 @@ def euler_cycle(g: DirectedGraph, ignore_isolated: bool = False) -> ClosedWalk:
     Each later cycle goes in just before the first visit of its base node.
     The splices run on plain lists, and the walk is built and checked once.
     """
-    if ignore_isolated:
-        g = _drop_isolated(g)
-    report = euler_check(g)
-    if not report.is_eulerian:
-        raise NotEulerianError(_not_eulerian_message(report))
+    g = _eulerian(g, ignore_isolated)
     first, *rest = _extract_cycles(g)
     arcs, visits = list(first.arcs), list(first.visits)
     for cyc in rest:
@@ -169,7 +165,13 @@ def _splice(arcs: list[str], visits: list[str], cycle: ClosedWalk, at: str) -> N
     visits[pos:pos] = cycle.visits[k:] + cycle.visits[:k]
 
 
-def _not_eulerian_message(report: EulerReport) -> str:
+def _eulerian(g: DirectedGraph, ignore_isolated: bool) -> DirectedGraph:
+    """g, without its isolated nodes if asked; raises unless that is Eulerian."""
+    if ignore_isolated:
+        g = _drop_isolated(g)
+    report = euler_check(g)
+    if report.is_eulerian:
+        return g
     parts = []
     if not report.connected:
         parts.append("graph is not connected")
@@ -177,55 +179,7 @@ def _not_eulerian_message(report: EulerReport) -> str:
         parts.append(f"node {v!r} has in={ind} out={outd}")
     if len(report.balance_violations) > 3:
         parts.append(f"... {len(report.balance_violations) - 3} more")
-    return "; ".join(parts) or "graph is not Eulerian"
-
-
-def covering_cycle(g: DirectedGraph) -> ClosedWalk:
-    """Closed walk visiting every arc at least once (not minimal in general).
-
-    Concatenates, for each arc not already covered, a shortest path from the
-    base node to the arc's source, the arc, and a shortest path from its
-    target back to the base.
-    """
-    if not g.arc_ids:
-        raise NoArcsError("graph has no arcs")
-    if not is_strongly_connected(g):
-        raise NotStronglyConnectedError("covering cycle needs a strongly connected graph")
-    base = g.nodes[0]
-    to_arc = _bfs_paths_from(g, base, forward=True)
-    from_arc = _bfs_paths_from(g, base, forward=False)
-    arcs: list[str] = []
-    covered: set[str] = set()
-    for aid, src, tgt in zip(g.arc_ids, g.arc_srcs, g.arc_tgts):
-        if aid in covered:
-            continue
-        segment = to_arc[src] + (aid,) + from_arc[tgt]
-        arcs.extend(segment)
-        covered.update(segment)
-    return ClosedWalk(g, tuple(arcs), base=base)
-
-
-def _bfs_paths_from(
-    g: DirectedGraph, root: str, forward: bool
-) -> dict[str, tuple[str, ...]]:
-    """Shortest arc sequences root->v (forward) or v->root (backward)."""
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.nodes}
-    for aid, src, tgt in zip(g.arc_ids, g.arc_srcs, g.arc_tgts):
-        if forward:
-            adj[src].append((tgt, aid))
-        else:
-            adj[tgt].append((src, aid))
-    paths: dict[str, tuple[str, ...]] = {root: ()}
-    queue = [root]
-    while queue:
-        nxt: list[str] = []
-        for v in queue:
-            for w, aid in adj[v]:
-                if w not in paths:
-                    paths[w] = paths[v] + (aid,) if forward else (aid,) + paths[v]
-                    nxt.append(w)
-        queue = nxt
-    return paths
+    raise NotEulerianError("; ".join(parts) or "graph is not Eulerian")
 
 
 def euler_decompose(
@@ -239,11 +193,7 @@ def euler_decompose(
     is h itself), and a glue keeps the smaller id.  Replaying the steps yields
     g up to renaming of merged nodes; use ``matches(g)`` to verify.
     """
-    if ignore_isolated:
-        g = _drop_isolated(g)
-    report = euler_check(g)
-    if not report.is_eulerian:
-        raise NotEulerianError(_not_eulerian_message(report))
+    g = _eulerian(g, ignore_isolated)
     walks = _extract_cycles(g)
     steps: list[GlueStep | AttachStep] = []
     to_sim: dict[str, str] = {}

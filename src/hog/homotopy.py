@@ -29,7 +29,7 @@ from .core import (
     DirectedGraph,
     GraphMorphism,
     Walk,
-    _read_only,
+    _Record,
     graph_from_columns,
     select_arcs,
 )
@@ -47,27 +47,16 @@ from .scc import SccDecomposition, _UnionFind, scc_decompose
 DEFAULT_HOM_CAP = 10**6
 
 
-class HomSet:
+class HomSet(_Record):
     """All based closed walks of one length; rotations are distinct elements."""
 
     n: int
     morphisms: tuple[ClosedWalk, ...]
 
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("n", "morphisms")
 
     def __init__(self, n: int, morphisms: tuple[ClosedWalk, ...]) -> None:
         vars(self).update(n=n, morphisms=morphisms)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(n={self.n!r}, morphisms={self.morphisms!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.morphisms) == (other.n, other.morphisms)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.morphisms))
 
     def __len__(self) -> int:
         return len(self.morphisms)
@@ -338,10 +327,10 @@ def attach_cycle(
 ) -> tuple[DirectedGraph, GraphMorphism]:
     """Attach a fresh cycle of length m at node x (wedge at a point).
 
-    Implemented as disjoint union with a standard cycle followed by gluing the
-    cycle's base node onto x.  Fresh ids extend x, so x keeps its name; the new
-    cycle nodes appear after g's nodes, in cycle order.  Returns the enlarged
-    graph and the embedding of g into it.
+    The result equals the disjoint union of g with a cycle whose base node is
+    then glued onto x, built directly: fresh ids extend x, so the glue keeps
+    x, and the new cycle nodes appear after g's nodes, in cycle order.
+    Returns the enlarged graph and the embedding of g into it.
     """
     if not g.has_node(x):
         raise UnknownNodeError(f"unknown node {x!r}")
@@ -355,13 +344,13 @@ def attach_cycle(
         if taken.isdisjoint(fresh_nodes) and taken.isdisjoint(fresh_arcs):
             break
         k += 1
-    union = graph_from_columns(
-        g.nodes + tuple(fresh_nodes),
+    ring = (x, *fresh_nodes[1:])
+    result = graph_from_columns(
+        g.nodes + ring[1:],
         g.arc_ids + tuple(fresh_arcs),
-        g.arc_srcs + tuple(fresh_nodes),
-        g.arc_tgts + tuple(fresh_nodes[1:] + fresh_nodes[:1]),
+        g.arc_srcs + ring,
+        g.arc_tgts + ring[1:] + ring[:1],
     )
-    result, _ = glue_nodes(union, x, fresh_nodes[0])
     embedding = GraphMorphism(
         g, result, dict(zip(g.nodes, g.nodes)), dict(zip(g.arc_ids, g.arc_ids))
     )

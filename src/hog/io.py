@@ -74,7 +74,11 @@ def _name(value: Any, what: str, *keys: object) -> str:
     """value, if it is a string; what.format(*keys) names the entry if not."""
     if isinstance(value, str):
         return value
-    raise ParseError(f"{what.format(*keys)} is not a string: {json.dumps(value, default=repr)}")
+    try:
+        shown = json.dumps(value, default=repr)
+    except (ValueError, RecursionError):  # past the int string or recursion limit
+        shown = f"<{type(value).__name__} too large to show>"
+    raise ParseError(f"{what.format(*keys)} is not a string: {shown}")
 
 
 def _parse_arcs(raw: Any) -> list[tuple[str, str, str]]:
@@ -185,12 +189,17 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def load_json(path: str) -> Any:
-    text = _read_text(path)
+def _decode(text: str, source: str) -> Any:
+    """The JSON value of text.  Malformed text, nesting past the recursion
+    limit and integers past the int string limit all raise ParseError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"{source}: invalid JSON ({exc})") from None
+
+
+def load_json(path: str) -> Any:
+    return _decode(_read_text(path), path)
 
 
 def parse_graph_text(text: str, fmt: str = "auto", source: str = "<input>") -> DirectedGraph:
@@ -198,11 +207,7 @@ def parse_graph_text(text: str, fmt: str = "auto", source: str = "<input>") -> D
         stripped = text.lstrip()
         fmt = "json" if stripped.startswith("{") else "edgelist"
     if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}: invalid JSON ({exc})") from None
-        return graph_from_dict(payload)
+        return graph_from_dict(_decode(text, source))
     if fmt == "edgelist":
         return parse_edgelist(text)
     raise ParseError(f"unknown format {fmt!r}")

@@ -20,7 +20,7 @@ from .core import (
     ClosedWalk,
     DirectedGraph,
     GraphMorphism,
-    _read_only,
+    _Record,
     graph_from_columns,
     select_arcs,
 )
@@ -29,19 +29,19 @@ from .homotopy import HomSet, WeakEquivalenceVerdict
 from .scc import scc_decompose
 
 
-class ReflexiveGraph:
+class ReflexiveGraph(_Record):
     """Directed multigraph plus one marked self-loop per node.
 
-    ``graph`` is the underlying directed graph, built and validated once.
-    Two reflexive graphs are equal when their nodes, arcs and degeneracy are.
+    ``graph`` is the underlying directed graph, built and validated once;
+    ``nodes`` and ``arcs`` read it.  Two reflexive graphs are equal when
+    their nodes, arcs and degeneracy are.
     """
 
-    nodes: tuple[str, ...]
-    arcs: tuple[Arc, ...]
-    degeneracy: dict[str, str]
     graph: DirectedGraph
+    degeneracy: dict[str, str]
 
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("nodes", "arcs", "degeneracy")
+    __hash__ = None
 
     def __init__(
         self,
@@ -49,42 +49,40 @@ class ReflexiveGraph:
         arcs: Iterable[Arc | Sequence[str]],
         degeneracy: Mapping[str, str],
     ) -> None:
-        degeneracy = dict(degeneracy)
-        g = DirectedGraph(nodes, arcs)
-        seen_loops: set[str] = set()
-        for n in g.nodes:
-            loop = degeneracy.get(n)
-            if loop is None:
-                raise ValidationError(f"node {n!r} has no degenerate loop")
-            k = g.arc_position(loop)
-            if g.arc_srcs[k] != n or g.arc_tgts[k] != n:
-                raise ValidationError(
-                    f"degenerate arc {loop!r} of node {n!r} is not a self-loop at it"
-                )
-            if loop in seen_loops:
-                raise ValidationError(f"arc {loop!r} marked degenerate twice")
-            seen_loops.add(loop)
-        extra = set(degeneracy) - set(g.nodes)
-        if extra:
-            raise ValidationError(f"degeneracy entries for unknown nodes {sorted(extra)}")
-        vars(self).update(nodes=g.nodes, arcs=g.arcs, degeneracy=degeneracy, graph=g)
+        _fill(self, DirectedGraph(nodes, arcs), dict(degeneracy))
 
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(nodes={self.nodes!r}, arcs={self.arcs!r}, "
-            f"degeneracy={self.degeneracy!r})"
-        )
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return self.graph.nodes
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nodes, self.arcs, self.degeneracy) == (
-            other.nodes, other.arcs, other.degeneracy
-        )
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        return self.graph.arcs
 
     @property
     def degenerate_arc_ids(self) -> frozenset[str]:
         return frozenset(self.degeneracy.values())
+
+
+def _fill(rg: ReflexiveGraph, g: DirectedGraph, degeneracy: dict[str, str]) -> None:
+    """Set the fields of a new reflexive graph and validate its degeneracy."""
+    seen_loops: set[str] = set()
+    for n in g.nodes:
+        loop = degeneracy.get(n)
+        if loop is None:
+            raise ValidationError(f"node {n!r} has no degenerate loop")
+        k = g.arc_position(loop)
+        if g.arc_srcs[k] != n or g.arc_tgts[k] != n:
+            raise ValidationError(
+                f"degenerate arc {loop!r} of node {n!r} is not a self-loop at it"
+            )
+        if loop in seen_loops:
+            raise ValidationError(f"arc {loop!r} marked degenerate twice")
+        seen_loops.add(loop)
+    extra = set(degeneracy) - set(g.nodes)
+    if extra:
+        raise ValidationError(f"degeneracy entries for unknown nodes {sorted(extra)}")
+    vars(rg).update(graph=g, degeneracy=degeneracy)
 
 
 class _ReflexiveMorphismFields(NamedTuple):
@@ -150,15 +148,17 @@ def add_degeneracies(g: DirectedGraph) -> ReflexiveGraph:
     """Freely add one marked self-loop per node (ids loop_<node>)."""
     taken = set(g.arc_ids)
     degeneracy: dict[str, str] = {}
-    loops: list[tuple[str, str, str]] = []
     for n in g.nodes:
         loop_id = f"loop_{n}"
         while loop_id in taken:
             loop_id = "_" + loop_id
         taken.add(loop_id)
         degeneracy[n] = loop_id
-        loops.append((loop_id, n, n))
-    return ReflexiveGraph(g.nodes, g.arcs + tuple(loops), degeneracy)
+    rg = ReflexiveGraph.__new__(ReflexiveGraph)
+    nodes = g.nodes
+    ids = g.arc_ids + tuple(degeneracy.values())
+    _fill(rg, graph_from_columns(nodes, ids, g.arc_srcs + nodes, g.arc_tgts + nodes), degeneracy)
+    return rg
 
 
 def forget_reflexive(g: ReflexiveGraph) -> DirectedGraph:

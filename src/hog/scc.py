@@ -12,7 +12,7 @@ from itertools import compress
 from operator import eq, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
-from .core import DirectedGraph, _read_only, graph_from_columns
+from .core import DirectedGraph, _Record, graph_from_columns
 from .errors import EmptyGraphError
 
 
@@ -26,7 +26,7 @@ class ComponentTable(NamedTuple):
     cyclic: tuple[int, ...]  # the components that contain an arc
 
 
-class SccDecomposition:
+class SccDecomposition(_Record):
     """The components of one graph, the component of each node, and the
     condensation.  Compares by identity, like the cached result it is."""
 
@@ -35,7 +35,8 @@ class SccDecomposition:
     component_of: dict[str, int]
     condensation: DirectedGraph
 
-    __setattr__ = __delattr__ = _read_only
+    _fields = ("graph", "components", "component_of", "condensation")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
         self,
@@ -49,12 +50,6 @@ class SccDecomposition:
             components=components,
             component_of=component_of,
             condensation=condensation,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(graph={self.graph!r}, components={self.components!r}, "
-            f"component_of={self.component_of!r}, condensation={self.condensation!r})"
         )
 
     @cached_property

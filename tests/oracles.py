@@ -28,7 +28,14 @@ from __future__ import annotations
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from hog.core import Arc, ClosedWalk, DirectedGraph, GraphMorphism, standard_cycle
+from hog.core import (
+    Arc,
+    ClosedWalk,
+    DirectedGraph,
+    GraphMorphism,
+    graph_from_columns,
+    standard_cycle,
+)
 from hog.errors import EmptyGraphError, NotConnectedError, ParseError
 from hog.homotopy import WeakEquivalenceVerdict
 from hog.scc import SccDecomposition, scc_decompose
@@ -234,6 +241,28 @@ def euler_decompose_by_replay(g: DirectedGraph):
             place(gn, cur)
     correspondence = {s: gn for gn, s in to_sim.items()}
     return AttachmentDecomposition(first.length, tuple(steps), correspondence)
+
+
+def attach_cycle_by_union_and_glue(g: DirectedGraph, x: str, m: int) -> DirectedGraph:
+    """``attach_cycle`` built as two surgeries: the disjoint union of g with a
+    fresh m-cycle ``{x}_c{k}_i`` (arcs ``{x}_c{k}_a{i}``), k the first free
+    index, then ``glue_nodes`` of x with the cycle's base node."""
+    from hog import homotopy
+
+    taken = set(g.nodes).union(g.arc_ids)
+    k = 0
+    while not taken.isdisjoint(
+        [f"{x}_c{k}_{i}" for i in range(m)] + [f"{x}_c{k}_a{i}" for i in range(m)]
+    ):
+        k += 1
+    ring = tuple(f"{x}_c{k}_{i}" for i in range(m))
+    union = graph_from_columns(
+        g.nodes + ring,
+        g.arc_ids + tuple(f"{x}_c{k}_a{i}" for i in range(m)),
+        g.arc_srcs + ring,
+        g.arc_tgts + ring[1:] + ring[:1],
+    )
+    return homotopy.glue_nodes(union, x, ring[0])[0]
 
 
 def component_verdict_by_sets(

@@ -69,6 +69,24 @@ def test_parse_error_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"nodes": ' + "[" * 200_000 + "]" * 200_000 + "}", "maximum recursion depth exceeded"),
+        ('{"nodes": [' + "9" * 5000 + '], "arcs": []}', "integer string conversion"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+@pytest.mark.parametrize("command", ["scc", "decompose"])
+def test_json_past_the_decoder_limits_exit_2(capsys, tmp_path, c3_file, command, text, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = [command, str(bad)] if command == "scc" else [command, c3_file, str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: invalid JSON (") and reason in err
+
+
 def test_dangling_arc_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nodes": ["x"], "arcs": [{"id": "a", "src": "x", "tgt": "y"}]}))

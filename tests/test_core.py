@@ -261,6 +261,19 @@ def test_records_are_immutable_and_survive_pickling(name):
     assert (back == value) is (name != "SccDecomposition")
 
 
+def test_record_hashes_follow_equality():
+    # Value records hash by value, a decomposition by identity, and a
+    # reflexive graph, whose degeneracy is a dict, not at all.
+    records = _one_of_each_record()
+    for name in ("Walk", "ClosedWalk", "HomSet", "DirectedGraph"):
+        value = records[name][0]
+        assert hash(pickle.loads(pickle.dumps(value))) == hash(value)
+    dec = records["SccDecomposition"][0]
+    assert hash(dec) == object.__hash__(dec)
+    with pytest.raises(TypeError):
+        hash(records["ReflexiveGraph"][0])
+
+
 def test_morphism_keeps_its_own_maps():
     c3 = standard_cycle(3)
     node_map = {"x0": "x1", "x1": "x2", "x2": "x0"}

@@ -13,6 +13,9 @@ The walk splice behind postman tours and ``euler_via_homology`` must give
 the same arcs and base as splicing whole validated walks, on the walks that
 ``decompose_positive_chain`` yields for seeded postman and Euler inputs and
 for every strongly connected graph of ``connected_small_graphs(3, 5)``.
+
+``attach_cycle`` must give the graph, in the same node and arc order, that
+the disjoint union with a fresh cycle glued at the node gives.
 """
 
 import random
@@ -26,10 +29,11 @@ from hog.enumeration import connected_small_graphs
 from hog.errors import DuplicateIdError, HogError, ParseError
 from hog.euler import euler_check
 from hog.homology import ArcChain, decompose_positive_chain, fundamental_chain
-from hog.homotopy import cofibrant_replacement
+from hog.homotopy import attach_cycle, cofibrant_replacement
 from hog.io import parse_edgelist
 from hog.scc import is_acyclic, is_strongly_connected, scc_decompose
 from oracles import (
+    attach_cycle_by_union_and_glue,
     cofibrant_replacement_by_loop,
     component_arcs_by_loop,
     is_acyclic_by_loop,
@@ -231,3 +235,15 @@ def test_splice_matches_whole_walk_splicing_on_small_graphs():
             _assert_same_splice(_euler_walks(g))
         checked += 1
     assert checked > 0
+
+
+def test_attach_cycle_matches_union_and_glue():
+    checked = 0
+    for g in connected_small_graphs(3, 3):
+        for x in g.nodes:
+            for m in (1, 2, 3):
+                result, embedding = attach_cycle(g, x, m)
+                assert result == attach_cycle_by_union_and_glue(g, x, m)
+                assert embedding.is_valid()
+                checked += 1
+    assert checked > 900

@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hog.core import build_graph, standard_cycle, standard_path
-from hog.errors import NoArcsError, NotEulerianError, NotStronglyConnectedError
+from hog.errors import NoArcsError, NotEulerianError
 from hog.euler import (
     AttachStep,
     GlueStep,
-    covering_cycle,
     euler_check,
     euler_cycle,
     euler_decompose,
@@ -80,41 +79,6 @@ def test_euler_cycle_morphism_is_arc_bijective(figure_eight):
         assert f.is_valid()
         assert set(f.node_map.values()) == set(g.nodes)
         assert sorted(f.arc_map.values()) == sorted(a.id for a in g.arcs)
-
-
-def test_covering_cycle_c3():
-    walk = covering_cycle(standard_cycle(3))
-    assert walk.length == 3
-
-
-def test_covering_cycle_two_way_pair(two_way_pair):
-    walk = covering_cycle(two_way_pair)
-    counts = Counter(walk.arcs)
-    assert all(counts[a.id] >= 1 for a in two_way_pair.arcs)
-    assert walk.length >= 4
-
-
-def test_covering_cycle_not_strongly_connected():
-    with pytest.raises(NotStronglyConnectedError):
-        covering_cycle(standard_path(2))
-
-
-def test_covering_cycle_length_bound():
-    g = build_graph(
-        ["a", "b", "c"],
-        [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a"), ("e3", "b", "a")],
-    )
-    walk = covering_cycle(g)
-    diameter_bound = len(g.nodes) - 1
-    assert walk.length <= len(g.arcs) * (1 + 2 * diameter_bound)
-    assert set(walk.arcs) == {a.id for a in g.arcs}
-
-
-def test_covering_cycle_never_beats_the_postman(two_way_pair):
-    from hog.homology import minimal_covering_walk
-
-    for g in (standard_cycle(4), two_way_pair):
-        assert covering_cycle(g).length >= minimal_covering_walk(g)[1]
 
 
 def test_decompose_plain_cycle_has_no_steps():

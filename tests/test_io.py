@@ -1,16 +1,20 @@
 import gc
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hog.core import Arc, DirectedGraph, standard_cycle
-from hog.errors import DuplicateIdError, ParseError
+from hog.errors import DuplicateIdError, HogError, ParseError
 from hog.homotopy import cofibrant_replacement
 from hog.io import (
     chain_from_dict,
     graph_from_dict,
     morphism_from_dict,
     parse_edgelist,
+    parse_graph_text,
     reflexive_from_dict,
 )
 from hog.pagerank import connectivity_report, pagerank
@@ -153,3 +157,55 @@ def test_a_parsed_graph_holds_no_arc_records():
     connectivity_report(g)
     pagerank(g)
     assert _arc_instances(g, dec, core, embedding) == []
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "name, shown",
+    [(10**5000, "<int too large to show>"), (_nested(10**5), "<list too large to show>")],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_a_name_too_large_to_show_is_a_parse_error(name, shown):
+    with pytest.raises(ParseError) as exc:
+        graph_from_dict({"nodes": [name]})
+    assert str(exc.value) == f"node #0 is not a string: {shown}"
+
+
+def _json_containers(inner):
+    # Objects often use the keys the graph readers look for.
+    keys = st.sampled_from(["graph", "nodes", "arcs", "id", "src", "tgt"]) | st.text(max_size=3)
+    return st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    _json_containers,
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_graph_from_dict_raises_only_hog_errors(payload):
+    try:
+        graph_from_dict(payload)
+    except HogError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text() | _JSON_VALUES.map(json.dumps),
+    st.sampled_from(["auto", "json", "edgelist"]),
+)
+def test_parse_graph_text_raises_only_hog_errors(text, fmt):
+    try:
+        parse_graph_text(text, fmt)
+    except HogError:
+        pass

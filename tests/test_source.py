@@ -50,3 +50,16 @@ def test_no_dataclasses_import():
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
     ]
     assert found == []
+
+
+def test_only_the_record_base_defines_repr():
+    # Records get their repr from core._Record or from NamedTuple, so a
+    # hand-written one cannot drift from the fields it names.
+    found = [
+        f"{path.name}:{cls.name}"
+        for path, cls in _nodes()
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__repr__"
+    ]
+    assert found == ["core.py:_Record"]
